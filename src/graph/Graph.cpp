@@ -87,6 +87,13 @@ std::optional<int64_t> Graph::attr(NodeId N, Symbol Key) const {
 }
 
 void Graph::replaceAllUses(NodeId From, NodeId To, NodeId SkipUsersFrom) {
+  redirectUses(From, To, SkipUsersFrom);
+  // An out-of-band redirect may strand anything below From; only a global
+  // sweep can tell.
+  SweptClean = false;
+}
+
+void Graph::redirectUses(NodeId From, NodeId To, NodeId SkipUsersFrom) {
   assert(From < Nodes.size() && To < Nodes.size());
   if (From == To)
     return;
@@ -105,6 +112,78 @@ void Graph::replaceAllUses(NodeId From, NodeId To, NodeId SkipUsersFrom) {
   for (NodeId &Out : Outputs)
     if (Out == From)
       Out = To;
+}
+
+bool Graph::isOutput(NodeId N) const {
+  return std::find(Outputs.begin(), Outputs.end(), N) != Outputs.end();
+}
+
+void Graph::noteSwept() {
+  SweptClean = true;
+  SweptOutputs = Outputs;
+  SweptUpTo = static_cast<NodeId>(Nodes.size());
+}
+
+CommitFootprint Graph::commitRewrite(NodeId Root, NodeId Replacement,
+                                     NodeId FirstNew) {
+  CommitFootprint F;
+  F.Root = Root;
+  F.NewBegin = FirstNew;
+  F.NewEnd = static_cast<NodeId>(Nodes.size());
+  // Users-closure before the redirect: afterwards Root's old users hang
+  // off Replacement and the walk could no longer find them from Root.
+  {
+    std::vector<uint8_t> Seen(Nodes.size(), 0);
+    std::vector<NodeId> Stack{Root};
+    while (!Stack.empty()) {
+      NodeId Cur = Stack.back();
+      Stack.pop_back();
+      for (NodeId U : Users[Cur]) {
+        if (Seen[U])
+          continue;
+        Seen[U] = 1;
+        F.Closure.push_back(U);
+        Stack.push_back(U);
+      }
+    }
+  }
+  const bool Local = sweptClean();
+  redirectUses(Root, Replacement, FirstNew);
+  if (!Local) {
+    removeUnreachable(&F.Swept);
+    F.SweepVisits = Nodes.size();
+    return F;
+  }
+  // Local sweep. Every live node was reachable after the last sweep, and
+  // since then only Root lost users (the redirect) and nodes were
+  // appended; so the newly unreachable nodes are exactly those whose
+  // live-user count drops to zero starting from Root and the unreferenced
+  // appended nodes — a Kahn-style peel of the dead region.
+  std::vector<NodeId> Work{Root};
+  for (NodeId N = SweptUpTo; N < Nodes.size(); ++N)
+    if (Users[N].empty())
+      Work.push_back(N);
+  while (!Work.empty()) {
+    NodeId N = Work.back();
+    Work.pop_back();
+    ++F.SweepVisits;
+    if (Nodes[N].Dead || !Users[N].empty() || isOutput(N))
+      continue;
+    Nodes[N].Dead = true;
+    F.Swept.push_back(N);
+    for (NodeId In : Nodes[N].Inputs) {
+      auto &U = Users[In];
+      auto It = std::remove(U.begin(), U.end(), N);
+      if (It == U.end())
+        continue; // a repeated input: already pruned
+      U.erase(It, U.end());
+      if (U.empty())
+        Work.push_back(In);
+    }
+  }
+  std::sort(F.Swept.begin(), F.Swept.end());
+  noteSwept();
+  return F;
 }
 
 size_t Graph::numLiveNodes() const {
@@ -144,6 +223,7 @@ size_t Graph::removeUnreachable(std::vector<NodeId> *SweptIds) {
                            [&](NodeId User) { return Nodes[User].Dead; }),
             U.end());
   }
+  noteSwept();
   return Swept;
 }
 

@@ -9,9 +9,10 @@
 /// as terms (see TermView.h).
 ///
 /// Mutation model: rewriting is destructive (§2.4) — a fired rule builds
-/// replacement nodes, redirects all uses of the matched root, and dead
-/// interior nodes are swept by removeUnreachable(). Node ids are stable;
-/// dead nodes stay allocated but are skipped by traversals.
+/// replacement nodes, then commitRewrite() redirects all uses of the
+/// matched root and sweeps the dead interior nodes, returning the commit's
+/// footprint. Node ids are stable; dead nodes stay allocated but are
+/// skipped by traversals.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,6 +69,32 @@ struct Node {
   bool Dead = false;
 };
 
+/// What one committed rewrite touched: the single input every cache
+/// downstream of a fire invalidates from (term view, incremental memo,
+/// batch rows, parallel-commit dirty bits, search cost deltas). See
+/// DESIGN.md §"Commit footprint".
+struct CommitFootprint {
+  /// The matched root whose uses were redirected.
+  NodeId Root = InvalidNode;
+  /// Transitive users of Root, taken before the redirect: exactly the
+  /// nodes whose tree unrollings the commit changes (plus, harmlessly,
+  /// the replacement nodes that keep referring to Root). Each id once, in
+  /// discovery order.
+  std::vector<NodeId> Closure;
+  /// Ids this commit swept, ascending (previously dead nodes excluded).
+  std::vector<NodeId> Swept;
+  /// [NewBegin, NewEnd): the nodes appended since the replacement build
+  /// started (replacement nodes and failed-rule orphans alike).
+  NodeId NewBegin = 0;
+  NodeId NewEnd = 0;
+  /// Nodes the sweep examined: worklist pops for a local sweep, every
+  /// node slot for a global one.
+  uint64_t SweepVisits = 0;
+
+  /// Closure plus swept ids: the footprint's size in the work bounds.
+  size_t size() const { return Closure.size() + Swept.size(); }
+};
+
 /// A tensor computation graph over a Signature.
 class Graph {
 public:
@@ -120,6 +147,24 @@ public:
   void replaceAllUses(NodeId From, NodeId To,
                       NodeId SkipUsersFrom = InvalidNode);
 
+  /// Commits a built rewrite: collects \p Root's users-closure, redirects
+  /// every use of \p Root to \p Replacement (uses by nodes with id >=
+  /// \p FirstNew — the replacement itself — are kept, as in
+  /// replaceAllUses), and sweeps what became unreachable. Returns the
+  /// commit's footprint; \p FirstNew must be numNodes() as it was before
+  /// the replacement build started.
+  ///
+  /// The sweep is local when the graph is known to be fully swept (the
+  /// last mutation other than appends was a sweep, and the outputs are
+  /// unchanged since): it walks down from \p Root and from the
+  /// unreferenced nodes appended since that sweep, killing a node when its
+  /// live-user count reaches zero and pruning only the user lists it
+  /// touches. Otherwise — in particular on a graph never swept — it falls
+  /// back to removeUnreachable. Either way the swept set equals what
+  /// removeUnreachable would sweep.
+  CommitFootprint commitRewrite(NodeId Root, NodeId Replacement,
+                                NodeId FirstNew);
+
   std::vector<NodeId> &outputs() { return Outputs; }
   const std::vector<NodeId> &outputs() const { return Outputs; }
   void addOutput(NodeId N) { Outputs.push_back(N); }
@@ -141,6 +186,10 @@ public:
   /// delta-costing a commit (sim::CostModel::commitDelta).
   size_t removeUnreachable(std::vector<NodeId> *SweptIds = nullptr);
 
+  /// True when every live node is reachable from the outputs as of the
+  /// last sweep, so commitRewrite may sweep locally (see there).
+  bool sweptClean() const { return SweptClean && Outputs == SweptOutputs; }
+
   /// Live nodes, inputs before users. Deterministic.
   std::vector<NodeId> topoOrder() const;
 
@@ -158,6 +207,17 @@ private:
   std::vector<std::vector<NodeId>> Users;
   std::vector<NodeId> Outputs;
   uint64_t ApproxBytes = 0;
+  /// Local-sweep bookkeeping: SweptClean holds once a sweep made every
+  /// live node reachable and no out-of-band redirect happened since;
+  /// SweptOutputs is the output list that sweep saw; nodes with ids >=
+  /// SweptUpTo were appended after it and may be unreferenced.
+  bool SweptClean = false;
+  std::vector<NodeId> SweptOutputs;
+  NodeId SweptUpTo = 0;
+
+  void redirectUses(NodeId From, NodeId To, NodeId SkipUsersFrom);
+  bool isOutput(NodeId N) const;
+  void noteSwept();
 };
 
 } // namespace pypm::graph

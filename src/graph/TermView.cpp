@@ -2,6 +2,8 @@
 
 #include "graph/TermView.h"
 
+#include <algorithm>
+
 using namespace pypm;
 using namespace pypm::graph;
 
@@ -35,10 +37,50 @@ term::TermRef TermView::termFor(NodeId N) {
 
   term::TermRef T =
       Arena.make(G.op(N), std::span<const term::TermRef>(Children), Attrs);
+  ++Conversions;
   NodeToTerm.emplace(N, T);
-  // Keep the first (lowest-id) representative for determinism.
-  TermToNode.emplace(T, N);
+  // Keep the first-converted representative; later nodes with the same
+  // term queue up behind it.
+  if (!TermToNode.emplace(T, N).second)
+    Shadowed[T].push_back(N);
   return T;
+}
+
+void TermView::dropNode(NodeId N) {
+  auto It = NodeToTerm.find(N);
+  if (It == NodeToTerm.end())
+    return;
+  term::TermRef T = It->second;
+  NodeToTerm.erase(It);
+  auto Sh = Shadowed.find(T);
+  auto Rep = TermToNode.find(T);
+  assert(Rep != TermToNode.end() && "memoized term without representative");
+  if (Rep->second != N) {
+    // A shadowed node: just leave the queue.
+    auto &Q = Sh->second;
+    Q.erase(std::find(Q.begin(), Q.end(), N));
+    if (Q.empty())
+      Shadowed.erase(Sh);
+    return;
+  }
+  if (Sh == Shadowed.end()) {
+    TermToNode.erase(Rep);
+    return;
+  }
+  // The representative goes: the next-converted survivor takes over.
+  Rep->second = Sh->second.front();
+  Sh->second.erase(Sh->second.begin());
+  if (Sh->second.empty())
+    Shadowed.erase(Sh);
+}
+
+void TermView::invalidateNodes(const CommitFootprint &F) {
+  if (NodeToTerm.empty())
+    return;
+  for (NodeId N : F.Closure)
+    dropNode(N);
+  for (NodeId N : F.Swept)
+    dropNode(N);
 }
 
 NodeId TermView::nodeFor(term::TermRef T) const {

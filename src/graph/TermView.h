@@ -17,9 +17,19 @@
 /// nodeFor(t) maps a matched term back to a *representative* node (needed
 /// to build rule replacements); when hash-consing merged several
 /// structurally identical nodes, any representative is semantically
-/// interchangeable (pure dataflow).
+/// interchangeable (pure dataflow). The representative is the
+/// first-converted memoized node with that term — not the lowest id: the
+/// conversion order follows the traversal, and after rewrites node ids are
+/// no longer topological.
 ///
-/// After any graph mutation, call invalidate().
+/// After a graph mutation the memo must be told what changed: a committed
+/// rewrite passes its footprint to invalidateNodes(), which drops exactly
+/// the conversions the commit made stale (the users-closure of the
+/// redirected root and the swept nodes) and keeps the rest. Any other
+/// mutation calls invalidate(), which drops everything. Dropping a
+/// representative promotes the next-converted surviving node with the
+/// same term, so nodeFor never answers with a dead node or one whose
+/// unrolling changed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,19 +54,37 @@ public:
   /// previously produced by termFor (or their subterms) are mapped.
   NodeId nodeFor(term::TermRef T) const;
 
-  /// Drops all memoized conversions (call after mutating the graph).
+  /// Drops all memoized conversions (after a mutation other than a
+  /// committed rewrite).
   void invalidate() {
     NodeToTerm.clear();
     TermToNode.clear();
+    Shadowed.clear();
   }
+
+  /// Drops the conversions a committed rewrite made stale: its
+  /// users-closure and its swept nodes. Every other memoized node's
+  /// unrolling is unchanged by the commit, so its conversion stays.
+  void invalidateNodes(const CommitFootprint &F);
+
+  /// Nodes actually converted (memo misses) over the view's lifetime.
+  uint64_t conversions() const { return Conversions; }
 
   term::TermArena &arena() { return Arena; }
 
 private:
+  void dropNode(NodeId N);
+
   const Graph &G;
   term::TermArena &Arena;
   std::unordered_map<NodeId, term::TermRef> NodeToTerm;
+  /// Term -> representative: the first-converted memoized node.
   std::unordered_map<term::TermRef, NodeId> TermToNode;
+  /// Term -> the other memoized nodes with that term, in conversion order
+  /// (only for terms hash-consing merged; empty for almost every term).
+  /// Lets dropNode promote a surviving node when the representative goes.
+  std::unordered_map<term::TermRef, std::vector<NodeId>> Shadowed;
+  uint64_t Conversions = 0;
 };
 
 } // namespace pypm::graph

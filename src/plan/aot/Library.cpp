@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <dlfcn.h>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -92,11 +93,20 @@ std::unique_ptr<PlanLibrary> PlanLibrary::load(const std::string &SoPath,
     return nullptr;
   };
 
+  // One absolute path serves both the scan and the mapping. dlopen
+  // searches the library path for a name without a slash, so a bare
+  // "both.so" would be scanned in the working directory but mapped from
+  // wherever the search finds one (or nowhere).
+  std::error_code EC;
+  const std::string Path = std::filesystem::absolute(SoPath, EC).string();
+  if (EC)
+    return Fail(AotLoadStatus::Unreadable, EC.message());
+
   // Rung 1: the raw-bytes marker scan. Decides stale/foreign/corrupt
   // BEFORE the dynamic linker maps any code from the artifact.
   std::string Bytes;
   {
-    std::ifstream IS(SoPath, std::ios::binary);
+    std::ifstream IS(Path, std::ios::binary);
     if (!IS)
       return Fail(AotLoadStatus::Unreadable);
     std::ostringstream OS;
@@ -112,14 +122,14 @@ std::unique_ptr<PlanLibrary> PlanLibrary::load(const std::string &SoPath,
 
   // Rung 2: map it. RTLD_LOCAL keeps the artifact's symbols out of the
   // global namespace; RTLD_NOW surfaces a torn image here, not mid-match.
-  void *H = ::dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
+  void *H = ::dlopen(Path.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!H) {
     const char *E = ::dlerror();
     return Fail(AotLoadStatus::NotLoadable, E ? E : "dlopen failed");
   }
   auto Lib = std::unique_ptr<PlanLibrary>(new PlanLibrary());
   Lib->Handle = H;
-  Lib->Path = SoPath;
+  Lib->Path = Path;
 
   auto Entry = reinterpret_cast<PypmAotPlanEntryFn>(
       ::dlsym(H, kAotEntrySymbol));

@@ -710,6 +710,8 @@ private:
 
   RewriteStats finish(double Start) {
     Stats.NodesSwept += G.removeUnreachable();
+    Stats.SweepVisits += G.numNodes();
+    Stats.ViewConversions = View.conversions();
     Stats.TotalSeconds = nowSeconds() - Start;
     if (Opts.NumThreads == 0)
       Stats.DiscoverySeconds = Stats.MatchSeconds;
@@ -1323,6 +1325,7 @@ private:
   /// (node ids are stable and writeGraphText prints live nodes only).
   void rollbackPartialBuild() {
     Stats.NodesSwept += G.removeUnreachable();
+    Stats.SweepVisits += G.numNodes();
     View.invalidate();
   }
 
@@ -1340,19 +1343,17 @@ private:
       NodeId Replacement = buildRhsImpl(G, View, R->Rhs, W, *SI, Faults);
       if (Replacement == graph::InvalidNode)
         continue; // RHS build failed (unbound var); try next rule
-      // Invalidate discovery results, cross-pass memos, and batch-swept
-      // candidate rows downstream of this fire *before* the user edges
-      // are redirected away (afterwards the old users are unreachable
-      // from N).
-      if (!Dirty.empty() || Opts.Incremental || BatchActive)
-        markUsersDirty(N);
       // Destructive replacement (§2): redirect all *existing* uses — the
-      // replacement's own references to the matched value stay — then
+      // replacement's own references to the matched value stay — and
       // sweep the now-unreachable matched subgraph so it is not matched
-      // again.
-      G.replaceAllUses(N, Replacement, FirstNewNode);
-      Stats.NodesSwept += G.removeUnreachable();
-      View.invalidate();
+      // again. The commit's footprint then drives every invalidation.
+      graph::CommitFootprint F =
+          G.commitRewrite(N, Replacement, FirstNewNode);
+      Stats.NodesSwept += F.Swept.size();
+      Stats.SweepVisits += F.SweepVisits;
+      Stats.FootprintNodes += F.size();
+      markUsersDirty(F);
+      View.invalidateNodes(F);
       ++PS.RulesFired;
       ++Stats.TotalFired;
       if (Stats.TotalFired >= Opts.MaxRewrites)
@@ -1362,33 +1363,22 @@ private:
     return false;
   }
 
-  /// Marks every transitive user of \p Root dirty: their tree unrollings
-  /// reach Root, so redirecting Root's uses changes what they match —
-  /// and nothing else's unrolling changes, which makes this walk the
-  /// *exact* invalidation set for every cached match artifact. Three
+  /// Invalidates the match caches a commit made stale: every node in the
+  /// footprint's users-closure — the transitive users of the fired root,
+  /// whose tree unrollings are the only ones the fire changes. Three
   /// caches honor it: the parallel commit's Dirty bits, the cross-pass
   /// incremental memo (MemoValid), and the pass's batch-swept candidate
   /// rows. Conservative (already-committed users are marked too,
-  /// harmlessly); traverses through post-snapshot nodes but only
-  /// snapshot ids carry a Dirty bit — new nodes always take the live
-  /// path anyway.
-  void markUsersDirty(NodeId Root) {
-    std::vector<uint8_t> Seen(G.numNodes(), 0);
-    std::vector<NodeId> Stack{Root};
-    while (!Stack.empty()) {
-      NodeId Cur = Stack.back();
-      Stack.pop_back();
-      for (NodeId U : G.users(Cur)) {
-        if (Seen[U])
-          continue;
-        Seen[U] = 1;
-        if (U < Dirty.size())
-          Dirty[U] = 1;
-        if (U < MemoValid.size())
-          MemoValid[U] = 0;
-        invalidateBatchRow(U);
-        Stack.push_back(U);
-      }
+  /// harmlessly); only snapshot ids carry a Dirty bit — new nodes always
+  /// take the live path anyway. Swept nodes need no bit: dead nodes are
+  /// never visited again.
+  void markUsersDirty(const graph::CommitFootprint &F) {
+    for (NodeId U : F.Closure) {
+      if (U < Dirty.size())
+        Dirty[U] = 1;
+      if (U < MemoValid.size())
+        MemoValid[U] = 0;
+      invalidateBatchRow(U);
     }
   }
 };
@@ -1462,6 +1452,8 @@ std::string RewriteStats::summary() const {
   Out += " matches=" + std::to_string(TotalMatches);
   Out += " fired=" + std::to_string(TotalFired);
   Out += " swept=" + std::to_string(NodesSwept);
+  Out += " viewConversions=" + std::to_string(ViewConversions) +
+         " sweepVisits=" + std::to_string(SweepVisits);
   if (MemoHits || MemoMisses)
     Out += " memoHits=" + std::to_string(MemoHits) +
            " memoMisses=" + std::to_string(MemoMisses);

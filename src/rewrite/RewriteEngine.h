@@ -13,7 +13,8 @@
 /// thread-sweep benches):
 ///  - a root-operator prefilter: patterns whose possible root operators are
 ///    known skip nodes with other roots without starting the machine;
-///  - memoized node→term conversion, invalidated only on rewrites;
+///  - memoized node→term conversion, invalidated per rewrite by exactly
+///    the commit's footprint (DESIGN.md §"Commit footprint");
 ///  - parallel match discovery (RewriteOptions::NumThreads): per-pass,
 ///    match attempts fan out over a work-stealing pool against a frozen
 ///    graph snapshot, then candidates commit serially in canonical order —
@@ -111,6 +112,20 @@ struct RewriteStats {
   uint64_t TotalMatches = 0;
   uint64_t TotalFired = 0;
   uint64_t NodesSwept = 0;
+  /// Exact work counters for the commit path (deterministic; like
+  /// MemoHits they describe the mode, so the differential suites leave
+  /// them out of equality). ViewConversions counts node→term conversions
+  /// by the engine's term view — memo misses only; the parallel engine's
+  /// per-worker discovery views are not counted. SweepVisits counts the
+  /// nodes the engine's sweeps examined: worklist pops of a local commit
+  /// sweep, every node slot of a global one (the first commit on a graph
+  /// never swept, fault rollbacks, and the final sweep). FootprintNodes
+  /// sums CommitFootprint::size() over the committed fires — the scale
+  /// the other two are bounded by. All three are the greedy engine's; the
+  /// search loop (fresh views per step) leaves them zero.
+  uint64_t ViewConversions = 0;
+  uint64_t SweepVisits = 0;
+  uint64_t FootprintNodes = 0;
   /// Wall-clock spent matching: per-attempt matcher time in the serial
   /// engine; discovery-phase wall-clock plus serial re-match time in the
   /// parallel engine. Always disjoint subintervals of the run, so

@@ -182,21 +182,19 @@ ApplyResult pypm::search::applyCandidate(Graph &G, const Candidate &C,
     }
     if (Rep == graph::InvalidNode)
       continue; // RHS build failed (unbound var); try next rule
-    std::vector<NodeId> SweptIds;
-    G.replaceAllUses(C.Node, Rep, Base);
-    G.removeUnreachable(&SweptIds);
-    Res.Swept = SweptIds.size();
+    graph::CommitFootprint F = G.commitRewrite(C.Node, Rep, Base);
+    Res.Swept = F.Swept.size();
     // Delta-cost the commit: appended-and-live nodes minus previously-live
     // swept nodes (ids >= Base — replacement nodes and failed-rule orphans
-    // alike — were never part of the base cost).
+    // alike — were never part of the base cost). The footprint's swept ids
+    // are ascending, so the priced sum runs in the same order as ever.
     std::vector<NodeId> Added;
-    for (NodeId N = Base; N < G.numNodes(); ++N)
+    for (NodeId N = F.NewBegin; N < F.NewEnd; ++N)
       if (!G.isDead(N))
         Added.push_back(N);
-    SweptIds.erase(std::remove_if(SweptIds.begin(), SweptIds.end(),
-                                  [&](NodeId N) { return N >= Base; }),
-                   SweptIds.end());
-    Res.CostDelta = CM.commitDelta(G, Added, SweptIds);
+    F.Swept.erase(std::lower_bound(F.Swept.begin(), F.Swept.end(), Base),
+                  F.Swept.end());
+    Res.CostDelta = CM.commitDelta(G, Added, F.Swept);
     Res.Applied = true;
     Res.Replacement = Rep;
     return Res;

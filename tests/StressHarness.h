@@ -13,6 +13,8 @@
 #ifndef PYPM_TESTS_STRESSHARNESS_H
 #define PYPM_TESTS_STRESSHARNESS_H
 
+#include "NaiveEngine.h"
+
 #include "dsl/Sema.h"
 #include "graph/GraphIO.h"
 #include "graph/ShapeInference.h"
@@ -100,9 +102,11 @@ struct StressOutcome {
 
 /// Builds the seed's graph + rules and runs rewriteToFixpoint with \p
 /// Opts. Opts carries everything the robustness tests vary: thread count,
-/// budget, quarantine threshold, fault injector, HaltOnFault.
+/// budget, quarantine threshold, fault injector, HaltOnFault. \p Naive
+/// runs the naive reference engine (NaiveEngine.h) instead.
 inline StressOutcome runStressCase(uint64_t Seed,
-                                   const rewrite::RewriteOptions &Opts) {
+                                   const rewrite::RewriteOptions &Opts,
+                                   bool Naive = false) {
   term::Signature Sig;
   models::declareModelOps(Sig);
   auto Lib = dsl::compileOrDie(stressRuleSource(Seed), Sig);
@@ -114,7 +118,8 @@ inline StressOutcome runStressCase(uint64_t Seed,
   rewrite::RuleSet RS;
   RS.addLibrary(*Lib);
   StressOutcome Out;
-  Out.Stats = rewrite::rewriteToFixpoint(G, RS, SI, Opts);
+  Out.Stats = Naive ? naiveRewrite(G, RS, SI, Opts)
+                    : rewrite::rewriteToFixpoint(G, RS, SI, Opts);
   Out.GraphText = graph::writeGraphText(G);
   return Out;
 }

@@ -12,6 +12,8 @@
 #ifndef PYPM_TESTS_TESTHELPERS_H
 #define PYPM_TESTS_TESTHELPERS_H
 
+#include "NaiveEngine.h"
+
 #include "graph/GraphIO.h"
 #include "graph/ShapeInference.h"
 #include "match/Declarative.h"
@@ -80,9 +82,10 @@ struct RunResult {
 /// Builds \p Model fresh and rewrites it to fixpoint under \p Opts with
 /// the standard pipeline (\p WithUnaryChain additionally loads the
 /// μ-recursive unary-chain library, the stress rule for deep unfolds).
+/// \p Naive runs the naive reference engine (NaiveEngine.h) instead.
 inline RunResult runModel(const models::ModelEntry &Model,
                           rewrite::RewriteOptions Opts,
-                          bool WithUnaryChain = false) {
+                          bool WithUnaryChain = false, bool Naive = false) {
   term::Signature Sig;
   auto G = Model.Build(Sig);
   opt::Pipeline Pipe = opt::makePipeline(Sig, opt::OptConfig::Both);
@@ -91,8 +94,9 @@ inline RunResult runModel(const models::ModelEntry &Model,
     Pipe.Rules.addLibrary(*Pipe.Libs.back());
   }
   RunResult R;
-  R.Stats = rewrite::rewriteToFixpoint(*G, Pipe.Rules,
-                                       graph::ShapeInference(), Opts);
+  graph::ShapeInference SI;
+  R.Stats = Naive ? naiveRewrite(*G, Pipe.Rules, SI, Opts)
+                  : rewrite::rewriteToFixpoint(*G, Pipe.Rules, SI, Opts);
   R.GraphText = graph::writeGraphText(*G);
   return R;
 }

@@ -46,8 +46,10 @@
 
 #include <cstdio>
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <functional>
+#include <unistd.h>
 
 using namespace pypm;
 using namespace pypm::match;
@@ -827,6 +829,36 @@ TEST(AotEmitted, LoaderRejectsArtifactFromForeignPlan) {
   EXPECT_EQ(St, aot::AotLoadStatus::MarkerMismatch);
   ASSERT_EQ(Diags.diagnostics().size(), 1u);
   EXPECT_EQ(Diags.diagnostics()[0].Code, "aot.stale");
+}
+
+// A bare file name ("both.so") names a file in the working directory for
+// the marker scan, but dlopen would search the library path for it; the
+// loader must scan and map the same file — the one in the working
+// directory — and record its absolute path.
+TEST(AotEmitted, BareFileNameLoadsFromTheWorkingDirectory) {
+  CompiledPipeline CP;
+  if (aot::AotEmitter::findCompiler().empty())
+    GTEST_SKIP() << "no C++ compiler on this host; emitted tier untestable";
+  namespace fs = std::filesystem;
+  const fs::path Dir = fs::path(::testing::TempDir()) /
+                       ("pypm_aot_bare_" + std::to_string(::getpid()));
+  fs::create_directories(Dir);
+  std::string Err;
+  ASSERT_TRUE(aot::AotEmitter::buildSharedObject(
+      CP.Prog, (Dir / "both.so").string(), Err))
+      << Err;
+  const fs::path Saved = fs::current_path();
+  fs::current_path(Dir);
+  DiagnosticEngine Diags;
+  aot::AotLoadStatus St = aot::AotLoadStatus::Unreadable;
+  auto Lib = aot::PlanLibrary::load("both.so", CP.Prog, &Diags, St);
+  fs::current_path(Saved);
+  EXPECT_EQ(St, aot::AotLoadStatus::Ok) << Diags.renderAll();
+  ASSERT_NE(Lib, nullptr);
+  EXPECT_EQ(fs::path(Lib->path()), Dir / "both.so");
+  EXPECT_TRUE(Lib->matches(CP.Prog));
+  Lib.reset();
+  fs::remove_all(Dir);
 }
 
 TEST(AotEmitted, MismatchedLibraryFallsBackToInterpreter) {

@@ -2,6 +2,7 @@
 
 #include "graph/Dot.h"
 #include "graph/Graph.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -195,4 +196,138 @@ TEST_F(GraphTest, DotExportContainsNodesAndEdges) {
   EXPECT_NE(Dot.find("digraph \"test\""), std::string::npos);
   EXPECT_NE(Dot.find("MatMul"), std::string::npos);
   EXPECT_NE(Dot.find("->"), std::string::npos);
+}
+
+// commitRewrite's footprint: the users-closure is taken before the
+// redirect, and the swept ids come back ascending.
+TEST_F(GraphTest, CommitRewriteReportsItsFootprint) {
+  NodeId A = leaf({4});
+  NodeId R1 = G.addNode(Relu, {A});
+  NodeId R2 = G.addNode(Relu, {R1});
+  NodeId R3 = G.addNode(Relu, {R2});
+  G.addOutput(R3);
+  G.removeUnreachable();
+  ASSERT_TRUE(G.sweptClean());
+  NodeId FirstNew = static_cast<NodeId>(G.numNodes());
+  NodeId New = G.addNode(Relu, {A});
+  CommitFootprint F = G.commitRewrite(R2, New, FirstNew);
+  EXPECT_EQ(F.Root, R2);
+  EXPECT_EQ(F.Closure, std::vector<NodeId>{R3});
+  EXPECT_EQ(F.Swept, (std::vector<NodeId>{R1, R2}));
+  EXPECT_EQ(F.NewBegin, FirstNew);
+  EXPECT_EQ(F.NewEnd, FirstNew + 1);
+  EXPECT_EQ(G.inputs(R3)[0], New);
+  EXPECT_EQ(G.users(A).size(), 1u);
+  // A local sweep visits the dead region and its frontier, not the graph.
+  EXPECT_LE(F.SweepVisits, 4u);
+  DiagnosticEngine Diags;
+  EXPECT_TRUE(G.verify(Diags)) << Diags.renderAll();
+}
+
+// An out-of-band redirect or output edit makes the graph unswept again:
+// the next commit must fall back to the global sweep, which also catches
+// what the out-of-band edit stranded.
+TEST_F(GraphTest, OutOfBandEditsForceAGlobalSweep) {
+  NodeId A = leaf({4});
+  NodeId R1 = G.addNode(Relu, {A});
+  NodeId R2 = G.addNode(Relu, {A});
+  NodeId R3 = G.addNode(Relu, {R2});
+  G.addOutput(R1);
+  G.addOutput(R3);
+  EXPECT_FALSE(G.sweptClean()); // never swept
+  G.removeUnreachable();
+  EXPECT_TRUE(G.sweptClean());
+  G.outputs().pop_back(); // strands R3 and R2
+  EXPECT_FALSE(G.sweptClean());
+  NodeId FirstNew = static_cast<NodeId>(G.numNodes());
+  NodeId New = G.addNode(Relu, {A});
+  CommitFootprint F = G.commitRewrite(R1, New, FirstNew);
+  EXPECT_EQ(F.Swept, (std::vector<NodeId>{R1, R2, R3}));
+  EXPECT_TRUE(G.sweptClean());
+  // A public redirect of an interior node strands it without touching the
+  // outputs.
+  NodeId Top = G.addNode(Relu, {New});
+  G.replaceAllUses(New, Top, Top);
+  G.removeUnreachable();
+  ASSERT_TRUE(G.sweptClean());
+  G.replaceAllUses(New, A); // Top now reads A; New is stranded
+  EXPECT_FALSE(G.sweptClean());
+  FirstNew = static_cast<NodeId>(G.numNodes());
+  NodeId New2 = G.addNode(Relu, {A});
+  F = G.commitRewrite(Top, New2, FirstNew);
+  EXPECT_EQ(F.Swept, (std::vector<NodeId>{New, Top}));
+}
+
+namespace {
+
+/// Random DAG with some nodes unreachable from the start.
+void buildRandomDag(Rng &R, Graph &G, term::OpId Un, term::OpId Bin) {
+  std::vector<NodeId> Nodes;
+  for (int I = 0; I != 3; ++I)
+    Nodes.push_back(G.addLeaf("Input", TensorType::make(term::DType::F32,
+                                                        {4})));
+  int NumOps = static_cast<int>(R.range(10, 40));
+  for (int I = 0; I != NumOps; ++I) {
+    if (R.chance(1, 2))
+      Nodes.push_back(G.addNode(Un, {Nodes[R.below(Nodes.size())]}));
+    else
+      Nodes.push_back(G.addNode(Bin, {Nodes[R.below(Nodes.size())],
+                                      Nodes[R.below(Nodes.size())]}));
+  }
+  G.addOutput(Nodes.back());
+  G.addOutput(Nodes[R.below(Nodes.size())]);
+}
+
+} // namespace
+
+// The local sweep against its oracle: over random DAGs and random commit
+// sequences (replacements wired to the matched root or one of its inputs;
+// failed-build orphans sprinkled in), commitRewrite must sweep
+// exactly the ids a redirect plus global removeUnreachable sweeps, and
+// leave identical user lists and outputs behind. (The first commit on
+// each fresh graph takes the global path; the rest are local.)
+TEST(GraphCommitOracle, LocalSweepEqualsGlobalSweep) {
+  for (uint64_t Seed = 0; Seed != 50; ++Seed) {
+    SCOPED_TRACE("seed=" + std::to_string(Seed));
+    term::Signature Sig;
+    term::OpId Un = Sig.addOp("Relu", 1), Bin = Sig.addOp("Add", 2);
+    Rng R(Seed * 7919 + 1);
+    Graph Local(Sig);
+    buildRandomDag(R, Local, Un, Bin);
+    Graph Oracle = Local;
+    for (int Step = 0; Step != 12; ++Step) {
+      std::vector<NodeId> Live;
+      for (NodeId N = 0; N != Local.numNodes(); ++N)
+        if (!Local.isDead(N))
+          Live.push_back(N);
+      NodeId Root = Live[R.below(Live.size())];
+      auto Ins = Local.inputs(Root);
+      NodeId FirstNew = static_cast<NodeId>(Local.numNodes());
+      // The inputs of the appended Relus: first the orphans (a failed
+      // rule's partial build, referenced by nobody), last the replacement.
+      std::vector<NodeId> Appended;
+      for (uint64_t I = R.below(3); I != 0; --I)
+        Appended.push_back(Live[R.below(Live.size())]);
+      Appended.push_back(Ins.empty() || R.chance(1, 3)
+                             ? Root
+                             : Ins[R.below(Ins.size())]);
+      NodeId Rep = InvalidNode;
+      for (Graph *G : {&Local, &Oracle})
+        for (NodeId In : Appended)
+          Rep = G->addNode(Un, {In});
+      CommitFootprint F = Local.commitRewrite(Root, Rep, FirstNew);
+      std::vector<NodeId> Expect;
+      Oracle.replaceAllUses(Root, Rep, FirstNew);
+      Oracle.removeUnreachable(&Expect);
+      ASSERT_EQ(F.Swept, Expect) << "step " << Step;
+      ASSERT_EQ(Local.outputs(), Oracle.outputs());
+      for (NodeId N = 0; N != Local.numNodes(); ++N) {
+        ASSERT_EQ(Local.isDead(N), Oracle.isDead(N)) << N;
+        auto UL = Local.users(N), UO = Oracle.users(N);
+        ASSERT_EQ(std::vector<NodeId>(UL.begin(), UL.end()),
+                  std::vector<NodeId>(UO.begin(), UO.end()))
+            << N;
+      }
+    }
+  }
 }

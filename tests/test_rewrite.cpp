@@ -1,6 +1,9 @@
 //===- tests/test_rewrite.cpp - Greedy fixpoint rewrite engine -----------------===//
 
+#include "NaiveEngine.h"
+
 #include "dsl/Sema.h"
+#include "graph/GraphIO.h"
 #include "graph/TermView.h"
 #include "models/Transformers.h"
 #include "rewrite/RewriteEngine.h"
@@ -461,4 +464,66 @@ TEST_F(RewriteTest, MatchSecondsBoundedByTotalSeconds) {
     EXPECT_GE(Stats.DiscoverySeconds, 0.0) << Threads;
     EXPECT_LE(Stats.DiscoverySeconds, Stats.MatchSeconds) << Threads;
   }
+}
+
+// The representative subtlety end to end. Const(2) and Neg(Const(2))
+// exist twice; the view's representative for each term is the
+// first-converted twin (the one under r, attempted first). The first fire
+// (at u) sweeps that representative; the second (at w) binds x to
+// Neg(Const(2)) and must wire its replacement to the surviving twin n2 —
+// exactly what the naive reference, rebuilding its view from scratch,
+// does. A view that merely erased the dropped representative would make
+// the RHS unbuildable here; one that kept it would wire a dead node.
+TEST_F(RewriteTest, SweptRepresentativeResolvesToTheLiveTwin) {
+  auto Lib = lib(R"(
+    pattern RR(x) { return Relu(Relu(x)); }
+    rule rr for RR(x) { return Relu(x); }
+    pattern SRN(x) { return Sigmoid(Relu(Neg(x))); }
+    rule srn for SRN(x) { return Gelu(x); }
+    pattern TT(x) { return Tanh(Tanh(x)); }
+    rule tt for TT(x) { return Sigmoid(x); }
+  )");
+  RuleSet RS;
+  RS.addLibrary(*Lib);
+  auto Build = [&](Graph &Gr) {
+    NodeId C1 = Gr.addConst(2.0);
+    NodeId N1 = Gr.addNode(Sig.lookup("Neg"), {C1});
+    NodeId C2 = Gr.addConst(2.0);
+    NodeId N2 = Gr.addNode(Sig.lookup("Neg"), {C2});
+    NodeId R = Gr.addNode(Sig.lookup("Relu"), {N1});
+    NodeId P = Gr.addNode(Sig.lookup("Tanh"), {N2});
+    Gr.addOutput(Gr.addNode(Sig.lookup("Sigmoid"), {R}));
+    Gr.addOutput(Gr.addNode(Sig.lookup("Tanh"), {P}));
+    SI.inferAll(Gr);
+  };
+  Graph Ref(Sig);
+  Build(Ref);
+  RewriteStats RefStats = pypm::testing::naiveRewrite(Ref, RS, SI);
+  ASSERT_EQ(RefStats.TotalFired, 2u);
+  // n2 (id 3) survives and feeds the Sigmoid the second fire built.
+  EXPECT_FALSE(Ref.isDead(3));
+  EXPECT_EQ(Ref.countOps("Sigmoid"), 1u);
+  const std::string Expected = writeGraphText(Ref);
+  for (unsigned Threads : {0u, 1u, 2u})
+    for (bool Incremental : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(Threads) +
+                   " incremental=" + std::to_string(Incremental));
+      Graph Gr(Sig);
+      Build(Gr);
+      RewriteOptions O;
+      O.NumThreads = Threads;
+      O.Incremental = Incremental;
+      RewriteStats S = rewriteToFixpoint(Gr, RS, SI, O);
+      EXPECT_EQ(writeGraphText(Gr), Expected);
+      EXPECT_EQ(S.TotalFired, RefStats.TotalFired);
+      EXPECT_EQ(S.NodesSwept, RefStats.NodesSwept);
+      ASSERT_EQ(S.PerPattern.size(), RefStats.PerPattern.size());
+      for (auto [Name, PS] : S.PerPattern) {
+        PatternStats Want = RefStats.PerPattern.at(Name);
+        PS.Seconds = Want.Seconds = 0.0;
+        EXPECT_EQ(PS, Want) << Name;
+      }
+      DiagnosticEngine Diags;
+      EXPECT_TRUE(Gr.verify(Diags)) << Diags.renderAll();
+    }
 }

@@ -86,6 +86,19 @@ echo "=== incremental/batched suites under TSan ==="
 ./build-ci-tsan/tests/pypm_tests \
   --gtest_filter='IncrementalEngine.*:BatchCandidates.*:BatchMatchers.*'
 
+# Commit footprints: every fire partially erases the term view's maps and
+# hands the footprint's vectors to each cache it invalidates — lifetime
+# hazards for ASan/UBSan — and the naive-reference differential (zoo and
+# 50 stress seeds, threads 0/1/2/4/8, plain/incremental/batch, governed
+# legs) drives the parallel commit path under TSan. The stress seeds run
+# here in the quick mode too.
+echo "=== commit-footprint suites under ASan/UBSan ==="
+./build-ci-asan/tests/pypm_tests \
+  --gtest_filter='TermView*:GraphCommitOracle.*:*NaiveReference*:CommitFootprintGate.*'
+
+echo "=== naive-reference differential under TSan ==="
+./build-ci-tsan/tests/pypm_tests --gtest_filter='*NaiveReference*'
+
 # Static rule-set lint: the §4 std libraries and every shipped example rule
 # set must stay free of error-severity findings (pypmc lint exits 7 on any
 # error finding, failing the leg). Run under the ASan/UBSan build — the

@@ -870,6 +870,8 @@ int cmdRewrite(int Argc, char **Argv) {
                  "{\"engine\":%s,\"passes\":%llu,\"fired\":%llu,"
                  "\"matches\":%llu,\"nodes\":%zu,\"memoHits\":%llu,"
                  "\"memoMisses\":%llu,\"batchedNodes\":%llu,"
+                 "\"viewConversions\":%llu,\"sweepVisits\":%llu,"
+                 "\"footprintNodes\":%llu,"
                  "\"planCompileSeconds\":%.6f,"
                  "\"searchSteps\":%llu,\"searchCandidates\":%llu,"
                  "\"searchExpansions\":%llu,"
@@ -882,6 +884,9 @@ int cmdRewrite(int Argc, char **Argv) {
                  static_cast<unsigned long long>(Stats.MemoHits),
                  static_cast<unsigned long long>(Stats.MemoMisses),
                  static_cast<unsigned long long>(Stats.BatchedNodes),
+                 static_cast<unsigned long long>(Stats.ViewConversions),
+                 static_cast<unsigned long long>(Stats.SweepVisits),
+                 static_cast<unsigned long long>(Stats.FootprintNodes),
                  Stats.PlanCompileSeconds,
                  static_cast<unsigned long long>(Stats.SearchSteps),
                  static_cast<unsigned long long>(Stats.SearchCandidates),
