@@ -37,6 +37,7 @@ NodeId Graph::addNode(term::OpId Op, std::span<const NodeId> Inputs,
   for (NodeId In : Inputs) {
     assert(In < Id && "forward reference: inputs must already exist");
     assert(!Nodes[In].Dead && "using a dead node as input");
+    saveUsers(In);
     Users[In].push_back(Id);
   }
   // Monotone allocation estimate: node ids are stable and dead nodes stay
@@ -97,15 +98,18 @@ void Graph::redirectUses(NodeId From, NodeId To, NodeId SkipUsersFrom) {
   assert(From < Nodes.size() && To < Nodes.size());
   if (From == To)
     return;
+  saveUsers(From);
   std::vector<NodeId> Kept;
   for (NodeId User : Users[From]) {
     if (User >= SkipUsersFrom) {
       Kept.push_back(User);
       continue;
     }
+    saveInputs(User);
     for (NodeId &In : Nodes[User].Inputs)
       if (In == From)
         In = To;
+    saveUsers(To);
     Users[To].push_back(User);
   }
   Users[From] = std::move(Kept);
@@ -169,14 +173,15 @@ CommitFootprint Graph::commitRewrite(NodeId Root, NodeId Replacement,
     ++F.SweepVisits;
     if (Nodes[N].Dead || !Users[N].empty() || isOutput(N))
       continue;
-    Nodes[N].Dead = true;
+    kill(N);
     F.Swept.push_back(N);
     for (NodeId In : Nodes[N].Inputs) {
       auto &U = Users[In];
-      auto It = std::remove(U.begin(), U.end(), N);
+      auto It = std::find(U.begin(), U.end(), N);
       if (It == U.end())
         continue; // a repeated input: already pruned
-      U.erase(It, U.end());
+      saveUsers(In);
+      U.erase(std::remove(It, U.end(), N), U.end());
       if (U.empty())
         Work.push_back(In);
     }
@@ -210,8 +215,11 @@ size_t Graph::removeUnreachable(std::vector<NodeId> *SweptIds) {
   for (NodeId N = 0; N != Nodes.size(); ++N) {
     if (Reachable[N] || Nodes[N].Dead)
       continue;
-    Nodes[N].Dead = true;
-    Users[N].clear();
+    kill(N);
+    if (!Users[N].empty()) {
+      saveUsers(N);
+      Users[N].clear();
+    }
     if (SweptIds)
       SweptIds->push_back(N);
     ++Swept;
@@ -219,12 +227,70 @@ size_t Graph::removeUnreachable(std::vector<NodeId> *SweptIds) {
   // Prune dead users from remaining use lists.
   for (NodeId N = 0; N != Nodes.size(); ++N) {
     auto &U = Users[N];
-    U.erase(std::remove_if(U.begin(), U.end(),
-                           [&](NodeId User) { return Nodes[User].Dead; }),
-            U.end());
+    auto IsDead = [&](NodeId User) { return Nodes[User].Dead; };
+    auto It = std::find_if(U.begin(), U.end(), IsDead);
+    if (It == U.end())
+      continue;
+    saveUsers(N);
+    U.erase(std::remove_if(It, U.end(), IsDead), U.end());
   }
   noteSwept();
   return Swept;
+}
+
+void Graph::checkpoint(UndoLog &L) {
+  assert(!Undo && "undo scopes do not nest");
+  L.NumNodes = Nodes.size();
+  L.ApproxBytes = ApproxBytes;
+  L.SweptClean = SweptClean;
+  L.SweptUpTo = SweptUpTo;
+  L.Outputs = Outputs;
+  L.SweptOutputs = SweptOutputs;
+  L.Lists.clear();
+  L.Pool.clear();
+  L.Killed.clear();
+  // A fresh epoch invalidates every first-touch mark at once; on the
+  // (astronomically rare) wrap the marks are cleared for real.
+  if (++L.Epoch == 0) {
+    std::fill(L.UsersMark.begin(), L.UsersMark.end(), 0);
+    std::fill(L.InputsMark.begin(), L.InputsMark.end(), 0);
+    L.Epoch = 1;
+  }
+  if (L.UsersMark.size() < Nodes.size()) {
+    L.UsersMark.resize(Nodes.size(), 0);
+    L.InputsMark.resize(Nodes.size(), 0);
+  }
+  Undo = &L;
+}
+
+void Graph::saveList(NodeId N, bool Inputs) {
+  uint32_t &Mark = (Inputs ? Undo->InputsMark : Undo->UsersMark)[N];
+  if (Mark == Undo->Epoch)
+    return;
+  Mark = Undo->Epoch;
+  const std::vector<NodeId> &List = Inputs ? Nodes[N].Inputs : Users[N];
+  Undo->Lists.push_back({N, Inputs, static_cast<uint32_t>(Undo->Pool.size()),
+                         static_cast<uint32_t>(List.size())});
+  Undo->Pool.insert(Undo->Pool.end(), List.begin(), List.end());
+}
+
+void Graph::rollback() {
+  assert(Undo && "rollback without checkpoint");
+  UndoLog &L = *Undo;
+  Undo = nullptr;
+  Nodes.erase(Nodes.begin() + L.NumNodes, Nodes.end());
+  Users.erase(Users.begin() + L.NumNodes, Users.end());
+  for (const UndoLog::SavedList &S : L.Lists) {
+    std::vector<NodeId> &List = S.Inputs ? Nodes[S.Node].Inputs : Users[S.Node];
+    List.assign(L.Pool.begin() + S.Begin, L.Pool.begin() + S.Begin + S.Size);
+  }
+  for (NodeId N : L.Killed)
+    Nodes[N].Dead = false;
+  Outputs = L.Outputs;
+  SweptOutputs = L.SweptOutputs;
+  ApproxBytes = L.ApproxBytes;
+  SweptClean = L.SweptClean;
+  SweptUpTo = L.SweptUpTo;
 }
 
 std::vector<NodeId> Graph::topoOrder() const {

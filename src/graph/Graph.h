@@ -12,7 +12,9 @@
 /// replacement nodes, then commitRewrite() redirects all uses of the
 /// matched root and sweeps the dead interior nodes, returning the commit's
 /// footprint. Node ids are stable; dead nodes stay allocated but are
-/// skipped by traversals.
+/// skipped by traversals. Speculation (cost-directed search) applies a
+/// rewrite inside an undo scope — checkpoint() ... rollback() — which
+/// restores the graph exactly instead of cloning it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,10 +97,44 @@ struct CommitFootprint {
   size_t size() const { return Closure.size() + Swept.size(); }
 };
 
+/// The journal of an open undo scope (Graph::checkpoint): the scalar state
+/// at the checkpoint plus the first-touch pre-image of every list the scope
+/// changed. Owned by the caller and reusable — its buffers keep their
+/// capacity across scopes, so a speculation loop allocates nothing in the
+/// steady state.
+class UndoLog {
+  friend class Graph;
+  struct SavedList {
+    NodeId Node;
+    bool Inputs; ///< the node's input list, else its user list
+    uint32_t Begin, Size; ///< the pre-image: Pool[Begin, Begin + Size)
+  };
+  size_t NumNodes = 0;
+  uint64_t ApproxBytes = 0;
+  bool SweptClean = false;
+  NodeId SweptUpTo = 0;
+  std::vector<NodeId> Outputs, SweptOutputs;
+  std::vector<SavedList> Lists;
+  std::vector<NodeId> Pool;
+  /// Pre-checkpoint nodes the scope killed.
+  std::vector<NodeId> Killed;
+  /// First-touch marks per pre-checkpoint node: equal to Epoch once the
+  /// node's user (input) list has been saved in this scope.
+  std::vector<uint32_t> UsersMark, InputsMark;
+  uint32_t Epoch = 0;
+};
+
 /// A tensor computation graph over a Signature.
 class Graph {
 public:
   explicit Graph(term::Signature &Sig) : Sig(Sig) {}
+  /// Copies the graph state. An open undo scope stays with the source: the
+  /// copy starts with none.
+  Graph(const Graph &O)
+      : Sig(O.Sig), Nodes(O.Nodes), Users(O.Users), Outputs(O.Outputs),
+        ApproxBytes(O.ApproxBytes), SweptClean(O.SweptClean),
+        SweptOutputs(O.SweptOutputs), SweptUpTo(O.SweptUpTo) {}
+  Graph(Graph &&) = default;
 
   term::Signature &signature() { return Sig; }
   const term::Signature &signature() const { return Sig; }
@@ -133,6 +169,8 @@ public:
   std::optional<int64_t> attr(NodeId N, Symbol Key) const;
 
   void setType(NodeId N, TensorType Type) {
+    assert((!Undo || N >= Undo->NumNodes) &&
+           "an undo scope only types the nodes it appended");
     Nodes[N].Type = std::move(Type);
   }
 
@@ -190,6 +228,22 @@ public:
   /// last sweep, so commitRewrite may sweep locally (see there).
   bool sweptClean() const { return SweptClean && Outputs == SweptOutputs; }
 
+  /// Opens an exact undo scope journaling into \p Log (scopes do not
+  /// nest). Until rollback(), every mutation — addNode, replaceAllUses,
+  /// commitRewrite (redirect and local sweep), removeUnreachable, output
+  /// edits — records the first-touch pre-image of what it changes.
+  void checkpoint(UndoLog &Log);
+
+  /// Restores the state at checkpoint() and closes the scope: the appended
+  /// nodes are truncated, killed nodes revive, and every touched user and
+  /// input list, the outputs, the sweep bookkeeping and the allocation
+  /// estimate are put back. Afterwards the graph cannot be told apart from
+  /// before — the same ids, user-list order, approxMemoryBytes() and
+  /// sweptClean(), hence the same next commit footprint.
+  void rollback();
+
+  bool inUndoScope() const { return Undo != nullptr; }
+
   /// Live nodes, inputs before users. Deterministic.
   std::vector<NodeId> topoOrder() const;
 
@@ -214,7 +268,24 @@ private:
   bool SweptClean = false;
   std::vector<NodeId> SweptOutputs;
   NodeId SweptUpTo = 0;
+  /// The open undo scope's journal, or null. Mutators test it once per
+  /// list they touch.
+  UndoLog *Undo = nullptr;
 
+  void saveUsers(NodeId N) {
+    if (Undo && N < Undo->NumNodes)
+      saveList(N, /*Inputs=*/false);
+  }
+  void saveInputs(NodeId N) {
+    if (Undo && N < Undo->NumNodes)
+      saveList(N, /*Inputs=*/true);
+  }
+  void saveList(NodeId N, bool Inputs);
+  void kill(NodeId N) {
+    Nodes[N].Dead = true;
+    if (Undo && N < Undo->NumNodes)
+      Undo->Killed.push_back(N);
+  }
   void redirectUses(NodeId From, NodeId To, NodeId SkipUsersFrom);
   bool isOutput(NodeId N) const;
   void noteSwept();

@@ -87,3 +87,36 @@ NodeId TermView::nodeFor(term::TermRef T) const {
   auto It = TermToNode.find(T);
   return It == TermToNode.end() ? InvalidNode : It->second;
 }
+
+NodeId TermView::nodeFor(term::TermRef T, NodeId Root) const {
+  if (!Shadowed.count(T))
+    return nodeFor(T);
+  // Twins: walk Root's cone in DFS preorder (inputs left to right). The
+  // first node reached with term T is also the first one a post-order
+  // conversion finishes: every node finished before it was reached first,
+  // and none of its own descendants can carry T (a term is no strict
+  // subterm of itself). A node whose term is no deeper than T cannot have
+  // T strictly below it, so its cone is skipped.
+  std::vector<uint8_t> Seen(G.numNodes(), 0);
+  std::vector<NodeId> Stack{Root};
+  while (!Stack.empty()) {
+    NodeId N = Stack.back();
+    Stack.pop_back();
+    if (Seen[N])
+      continue;
+    Seen[N] = 1;
+    auto It = NodeToTerm.find(N);
+    if (It == NodeToTerm.end()) {
+      assert(false && "rooted resolution outside the memo");
+      return InvalidNode;
+    }
+    if (It->second == T)
+      return N;
+    if (It->second->depth() <= T->depth())
+      continue;
+    auto Ins = G.inputs(N);
+    for (size_t I = Ins.size(); I-- != 0;)
+      Stack.push_back(Ins[I]);
+  }
+  return InvalidNode;
+}

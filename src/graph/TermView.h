@@ -22,6 +22,17 @@
 /// conversion order follows the traversal, and after rewrites node ids are
 /// no longer topological.
 ///
+/// nodeFor(t, root) is the rooted resolution a rewrite of the match at
+/// `root` uses: the first node with term t in a post-order DFS from root —
+/// exactly the representative a view converted cold from root would
+/// answer. When t has a single memoized node that is the plain
+/// representative; when hash-consing merged twins (two `Const` leaves of
+/// the same value, say), the lookup walks the memoized cone of root. That
+/// walk is exact because the memo is downward closed: invalidation drops
+/// users-closures and dead nodes only, so a memoized node's whole cone is
+/// memoized. The resolution is const and keeps no per-call state in the
+/// view, so concurrent speculation may share one view read-only.
+///
 /// After a graph mutation the memo must be told what changed: a committed
 /// rewrite passes its footprint to invalidateNodes(), which drops exactly
 /// the conversions the commit made stale (the users-closure of the
@@ -54,6 +65,10 @@ public:
   /// previously produced by termFor (or their subterms) are mapped.
   NodeId nodeFor(term::TermRef T) const;
 
+  /// The first node with term \p T in a post-order DFS from \p Root, or
+  /// InvalidNode (see the file comment). \p Root must be memoized.
+  NodeId nodeFor(term::TermRef T, NodeId Root) const;
+
   /// Drops all memoized conversions (after a mutation other than a
   /// committed rewrite).
   void invalidate() {
@@ -70,7 +85,9 @@ public:
   /// Nodes actually converted (memo misses) over the view's lifetime.
   uint64_t conversions() const { return Conversions; }
 
+  const Graph &graph() const { return G; }
   term::TermArena &arena() { return Arena; }
+  const term::TermArena &arena() const { return Arena; }
 
 private:
   void dropNode(NodeId N);

@@ -100,20 +100,20 @@ std::optional<std::unordered_set<term::OpId>> rootOps(const Pattern *P) {
   return std::nullopt;
 }
 
-/// Recursive worker behind rewrite::buildRhs. \p Faults lets the engine
-/// arm the deterministic fault injector *inside* the builder (throwing
-/// after some replacement nodes were already appended is exactly the case
-/// the transactional-commit tests must cover); the public entry point
-/// passes nullptr.
-NodeId buildRhsImpl(Graph &G, graph::TermView &View, const RhsExpr *Rhs,
+/// Recursive worker behind rewrite::buildRhs (see there for \p Faults and
+/// \p Root). Arming the fault injector *inside* the builder matters:
+/// throwing after some replacement nodes were already appended is exactly
+/// the case the transactional-commit tests must cover.
+NodeId buildRhsImpl(Graph &G, const graph::TermView &View, const RhsExpr *Rhs,
                     const match::Witness &W, const graph::ShapeInference &SI,
-                    FaultInjector *Faults) {
+                    FaultInjector *Faults, NodeId Root) {
   switch (Rhs->kind()) {
   case RhsKind::VarRef: {
     std::optional<term::TermRef> T = W.Theta.lookup(Rhs->var());
     if (!T)
       return graph::InvalidNode;
-    return View.nodeFor(*T);
+    return Root == graph::InvalidNode ? View.nodeFor(*T)
+                                      : View.nodeFor(*T, Root);
   }
   case RhsKind::App:
   case RhsKind::FunVarApp: {
@@ -129,7 +129,7 @@ NodeId buildRhsImpl(Graph &G, graph::TermView &View, const RhsExpr *Rhs,
     std::vector<NodeId> Children;
     Children.reserve(Rhs->children().size());
     for (const RhsExpr *C : Rhs->children()) {
-      NodeId Child = buildRhsImpl(G, View, C, W, SI, Faults);
+      NodeId Child = buildRhsImpl(G, View, C, W, SI, Faults, Root);
       if (Child == graph::InvalidNode)
         return graph::InvalidNode;
       Children.push_back(Child);
@@ -1340,7 +1340,8 @@ private:
           continue;
       }
       NodeId FirstNewNode = static_cast<NodeId>(G.numNodes());
-      NodeId Replacement = buildRhsImpl(G, View, R->Rhs, W, *SI, Faults);
+      NodeId Replacement =
+          buildRhsImpl(G, View, R->Rhs, W, *SI, Faults, graph::InvalidNode);
       if (Replacement == graph::InvalidNode)
         continue; // RHS build failed (unbound var); try next rule
       // Destructive replacement (§2): redirect all *existing* uses — the
@@ -1385,11 +1386,11 @@ private:
 
 } // namespace
 
-NodeId pypm::rewrite::buildRhs(Graph &G, graph::TermView &View,
+NodeId pypm::rewrite::buildRhs(Graph &G, const graph::TermView &View,
                                const RhsExpr *Rhs, const match::Witness &W,
                                const graph::ShapeInference &SI,
-                               FaultInjector *Faults) {
-  return buildRhsImpl(G, View, Rhs, W, SI, Faults);
+                               FaultInjector *Faults, NodeId Root) {
+  return buildRhsImpl(G, View, Rhs, W, SI, Faults, Root);
 }
 
 RewriteStats pypm::rewrite::rewriteToFixpoint(Graph &G, const RuleSet &Rules,
@@ -1459,6 +1460,9 @@ std::string RewriteStats::summary() const {
            " memoMisses=" + std::to_string(MemoMisses);
   if (BatchedNodes)
     Out += " batched=" + std::to_string(BatchedNodes);
+  if (SearchSteps)
+    Out += " searchExpansions=" + std::to_string(SearchExpansions) +
+           " searchGraphCopies=" + std::to_string(SearchGraphCopies);
   char Buf[80];
   std::snprintf(Buf, sizeof(Buf),
                 " matchTime=%.3fms discoveryTime=%.3fms totalTime=%.3fms",

@@ -121,8 +121,10 @@ struct RewriteStats {
   /// sweep, every node slot of a global one (the first commit on a graph
   /// never swept, fault rollbacks, and the final sweep). FootprintNodes
   /// sums CommitFootprint::size() over the committed fires — the scale
-  /// the other two are bounded by. All three are the greedy engine's; the
-  /// search loop (fresh views per step) leaves them zero.
+  /// the other two are bounded by. The search loop fills all three from
+  /// its one run-long view and its committed fires (speculative applies
+  /// are rolled back and not counted; neither are the private views of
+  /// Lookahead >= 2 branches).
   uint64_t ViewConversions = 0;
   uint64_t SweepVisits = 0;
   uint64_t FootprintNodes = 0;
@@ -167,10 +169,16 @@ struct RewriteStats {
   /// stats bit for bit). SearchSteps counts enumeration sweeps (committed
   /// commits plus the final fixpoint-proving sweep), SearchCandidates the
   /// fireable candidates enumerated on the committed path, and
-  /// SearchExpansions the speculative clone-apply-price evaluations.
+  /// SearchExpansions the speculative apply-price-rollback evaluations.
+  /// SearchGraphCopies counts the whole-graph copies speculation made: 0
+  /// serially at Lookahead 1; under NumThreads at most one per pool worker
+  /// per step (which workers receive jobs is scheduling-dependent, so this
+  /// one counter may vary between threaded runs), plus one per survivor
+  /// a Lookahead >= 2 depth expands further.
   uint64_t SearchSteps = 0;
   uint64_t SearchCandidates = 0;
   uint64_t SearchExpansions = 0;
+  uint64_t SearchGraphCopies = 0;
   /// Wall-clock inside speculative expansion + scoring (a subinterval of
   /// TotalSeconds; excluded from equality comparisons like all Seconds).
   double SearchSeconds = 0.0;
@@ -247,7 +255,7 @@ inline bool planFamily(MatcherKind MK) {
 /// including alternate witnesses of the same pattern via the resume
 /// machinery — price each with sim::CostModel, and commit the cheapest:
 ///  - BestOfN: score the first BeamWidth candidates (each rolled forward
-///    Lookahead-1 greedy steps on a speculative clone), commit the best;
+///    Lookahead-1 greedy steps), commit the best;
 ///  - Beam: keep the BeamWidth cheapest partial commit sequences, expand
 ///    them to depth Lookahead, commit the first step of the winner
 ///    (receding horizon), re-enumerate, repeat.
@@ -363,8 +371,9 @@ struct RewriteOptions {
   /// Beam width (Beam) / number of candidates scored per step (BestOfN).
   unsigned BeamWidth = 4;
   /// Commit horizon priced per candidate: 1 scores the immediate cost
-  /// delta, L > 1 rolls each survivor forward on speculative clones to
-  /// depth L before ranking. 0 disables pricing entirely (greedy).
+  /// delta, L > 1 rolls each survivor forward to depth L before ranking
+  /// (on a private copy per survivor). 0 disables pricing entirely
+  /// (greedy).
   unsigned Lookahead = 1;
   /// Witnesses enumerated per (node, pattern) via the resume machinery;
   /// each distinct witness with a passing rule guard is its own candidate
@@ -445,10 +454,16 @@ RewriteStats matchAll(graph::Graph &G, const RuleSet &Rules,
 /// (FaultInjector::onRhsBuild) — the search loop passes its injector on
 /// the committed path so injected RHS faults land in search runs exactly
 /// as they do in greedy runs; speculative builds always pass nullptr.
-graph::NodeId buildRhs(graph::Graph &G, graph::TermView &View,
+/// Witness variables resolve to nodes through \p View: its representative
+/// by default, or, when \p Root (the matched node) is given, the rooted
+/// resolution View.nodeFor(t, Root) — the node a view converted cold from
+/// Root would answer, which the search needs because it shares one view
+/// across all candidates of a step.
+graph::NodeId buildRhs(graph::Graph &G, const graph::TermView &View,
                        const pattern::RhsExpr *Rhs, const match::Witness &W,
                        const graph::ShapeInference &SI,
-                       FaultInjector *Faults = nullptr);
+                       FaultInjector *Faults = nullptr,
+                       graph::NodeId Root = graph::InvalidNode);
 
 } // namespace pypm::rewrite
 

@@ -7,31 +7,44 @@
 //     discrimination-tree prefilter (and the batched frontier sweep under
 //     --batch) when one is selected — and enumerate up to SearchWitnesses
 //     witnesses per match via resume. Every witness with a passing rule
-//     guard is one Candidate. This phase carries ALL governed state:
-//     budget step/μ charges, quarantine counts, fault sites, per-pattern
-//     counters. It is bit-identical at any NumThreads because it never
-//     runs on a worker.
+//     guard is one Candidate; its witness is kept for the phases below.
+//     This phase carries ALL governed state: budget step/μ charges,
+//     quarantine counts, fault sites, per-pattern counters. It is
+//     bit-identical at any NumThreads because it never runs on a worker.
+//     It matches against the run's one incremental term view, which every
+//     commit's footprint keeps current.
 //
-//  2. SPECULATIVE EXPANSION (parallel, hermetic): clone the graph per
-//     candidate, apply, delta-cost with sim::CostModel. BestOfN expands
-//     the first BeamWidth candidates and rolls each forward greedily;
-//     Beam expands all candidates and keeps the BeamWidth cheapest
-//     partial sequences per depth. Workers touch only their own clones
-//     (Graph's copy shares the Signature by reference; applyCandidate
-//     re-derives the witness in a private arena), results land in
-//     index-addressed slots, and ranking is a stable sort on cost — ties
-//     resolve to the canonical enumeration order. No budget charges, no
-//     fault-injector consultation: speculation is hermetic by contract,
-//     so governance outcomes cannot depend on how branches were explored.
+//  2. SPECULATIVE EXPANSION (hermetic): apply each expanded candidate
+//     inside an exact undo scope (Graph::checkpoint), delta-cost it with
+//     sim::CostModel, and roll it back. Serially this runs on the subject
+//     graph itself; under NumThreads each pool worker applies and rolls
+//     back on one private copy of the subject per step. Either way the
+//     witness's variables resolve through the shared view's rooted
+//     resolution (TermView::nodeFor(t, root)) — the node a view converted
+//     cold from the candidate's root would answer — and the view and its
+//     arena are only read. BestOfN expands the first BeamWidth candidates
+//     and rolls each forward greedily; Beam expands all candidates and
+//     keeps the BeamWidth cheapest partial sequences per depth. With
+//     Lookahead >= 2 the survivors of a depth (at most BeamWidth) are
+//     materialized as private copies with their own view, and their moves
+//     are applied and rolled back on those. Results land in index-addressed
+//     slots, and ranking is a stable sort on cost — ties resolve to the
+//     canonical enumeration order. No budget charges, no fault-injector
+//     consultation: governance outcomes cannot depend on how branches were
+//     explored.
 //
-//  3. COMMIT (serial): re-derive and fire the winning first step on the
-//     subject graph, with the fault injector armed (guard evals and RHS
-//     builds hit the same hooks greedy fires do). An absorbed fault
-//     rolls back to the last committed state and quarantines or halts,
-//     exactly like the greedy engine's transactional commit.
+//  3. COMMIT (serial): fire the winning first step on the subject graph
+//     under its witness, with the fault injector armed (guard evals and RHS
+//     builds hit the same hooks greedy fires do), and invalidate the view
+//     by the commit's footprint. An absorbed fault rolls back to the last
+//     committed state and quarantines or halts, exactly like the greedy
+//     engine's transactional commit.
 //
-// Rejected branches were never applied to the subject graph, so "rollback"
-// of a losing candidate is the no-op of dropping its clone.
+// Rollback invariant: after Graph::rollback the subject is
+// indistinguishable from its state before the speculative apply — node
+// ids, user-list order, the allocation estimate and the sweep bookkeeping
+// (hence the next commit's footprint) — so a rejected branch leaves
+// nothing behind, and the shared view's memo stays valid untouched.
 //
 //===----------------------------------------------------------------------===//
 
@@ -93,8 +106,19 @@ std::vector<Candidate>
 pypm::search::enumerateCandidates(const Graph &G, const RuleSet &Rules,
                                   const EnumOptions &EO) {
   std::vector<Candidate> Out;
+  std::vector<match::Witness> Wits;
   term::TermArena Arena(G.signature());
   graph::TermView View(G, Arena);
+  enumerateCandidates(View, Rules, EO, Out, Wits);
+  return Out;
+}
+
+void pypm::search::enumerateCandidates(graph::TermView &View,
+                                       const RuleSet &Rules,
+                                       const EnumOptions &EO,
+                                       std::vector<Candidate> &Out,
+                                       std::vector<match::Witness> &Wits) {
+  const Graph &G = View.graph();
   const auto &Entries = Rules.entries();
   for (NodeId N = 0; N < G.numNodes(); ++N) {
     if (G.isDead(N))
@@ -105,7 +129,7 @@ pypm::search::enumerateCandidates(const Graph &G, const RuleSet &Rules,
       const RewriteEntry &E = Entries[I];
       if (E.Rules.empty())
         continue; // match-only: nothing can fire
-      match::FastMatcher M(Arena, EO.MachineOpts);
+      match::FastMatcher M(View.arena(), EO.MachineOpts);
       MachineStatus S;
       try {
         S = M.match(E.Pattern->Pat, View.termFor(N));
@@ -116,13 +140,15 @@ pypm::search::enumerateCandidates(const Graph &G, const RuleSet &Rules,
         match::Witness W = M.witness();
         int RI;
         try {
-          RI = firstPassingRule(E, W, Arena, 0, nullptr);
+          RI = firstPassingRule(E, W, View.arena(), 0, nullptr);
         } catch (...) {
           break; // hermetic: a throwing guard ends this entry's witnesses
         }
-        if (RI >= 0)
+        if (RI >= 0) {
           Out.push_back(Candidate{N, static_cast<uint32_t>(I), WI,
                                   static_cast<uint32_t>(RI)});
+          Wits.push_back(std::move(W));
+        }
         if (WI + 1 >= EO.MaxWitnesses)
           break;
         try {
@@ -133,35 +159,24 @@ pypm::search::enumerateCandidates(const Graph &G, const RuleSet &Rules,
       }
     }
   }
-  return Out;
 }
 
-ApplyResult pypm::search::applyCandidate(Graph &G, const Candidate &C,
-                                         const RuleSet &Rules,
-                                         const graph::ShapeInference &SI,
-                                         const sim::CostModel &CM,
-                                         const match::Machine::Options &MO,
-                                         FaultInjector *Faults) {
+ApplyResult pypm::search::fireCandidate(Graph &G, const graph::TermView &View,
+                                        const Candidate &C,
+                                        const match::Witness &W,
+                                        const RuleSet &Rules,
+                                        const graph::ShapeInference &SI,
+                                        const sim::CostModel &CM,
+                                        FaultInjector *Faults,
+                                        graph::CommitFootprint *Footprint) {
   ApplyResult Res;
   const RewriteEntry &E = Rules.entries()[C.Entry];
-  term::TermArena Arena(G.signature());
-  graph::TermView View(G, Arena);
-  match::FastMatcher M(Arena, MO);
-  MachineStatus S = M.match(E.Pattern->Pat, View.termFor(C.Node));
-  for (uint32_t WI = 0; S == MachineStatus::Success && WI < C.WitnessIdx; ++WI)
-    S = M.resume();
-  if (S != MachineStatus::Success)
-    return Res; // not reachable on a faithful clone; refuse rather than UB
-  match::Witness W = M.witness();
-  match::SubstEnv Env(W.Theta, W.Phi, Arena);
+  match::SubstEnv Env(W.Theta, W.Phi, View.arena());
   // Nodes appended from here on were never part of the base cost. A rule
   // whose RHS fails to build (an unbound fall-through parameter, e.g.
   // fuse_mha_masked on an unmasked graph) may strand orphan nodes; they
-  // must stay in place until the witness is no longer needed — sweeping
-  // and invalidating the view here would wipe the term-to-node memo the
-  // remaining rules' VarRefs resolve through, making every fall-through
-  // rule unbuildable. The greedy engine's failure path leaves orphans for
-  // the same reason.
+  // stay in place while later rules build — the greedy engine's failure
+  // path leaves orphans for the same reason.
   const NodeId Base = static_cast<NodeId>(G.numNodes());
   for (size_t RI = C.Rule; RI != E.Rules.size(); ++RI) {
     const pattern::RewriteRule *R = E.Rules[RI];
@@ -171,15 +186,7 @@ ApplyResult pypm::search::applyCandidate(Graph &G, const Candidate &C,
       if (!R->Guard->evalBool(Env).truthy())
         continue; // cannot happen at RI == C.Rule (guards are pure)
     }
-    NodeId Rep;
-    try {
-      Rep = rewrite::buildRhs(G, View, R->Rhs, W, SI, Faults);
-    } catch (...) {
-      // Transactional: the partial build only appended unreferenced
-      // nodes; sweep them so the caller sees the pre-call graph.
-      G.removeUnreachable();
-      throw;
-    }
+    NodeId Rep = rewrite::buildRhs(G, View, R->Rhs, W, SI, Faults, C.Node);
     if (Rep == graph::InvalidNode)
       continue; // RHS build failed (unbound var); try next rule
     graph::CommitFootprint F = G.commitRewrite(C.Node, Rep, Base);
@@ -192,27 +199,108 @@ ApplyResult pypm::search::applyCandidate(Graph &G, const Candidate &C,
     for (NodeId N = F.NewBegin; N < F.NewEnd; ++N)
       if (!G.isDead(N))
         Added.push_back(N);
-    F.Swept.erase(std::lower_bound(F.Swept.begin(), F.Swept.end(), Base),
-                  F.Swept.end());
-    Res.CostDelta = CM.commitDelta(G, Added, F.Swept);
+    auto Priced = std::lower_bound(F.Swept.begin(), F.Swept.end(), Base);
+    Res.CostDelta = CM.commitDelta(
+        G, Added,
+        std::span<const NodeId>(F.Swept.data(), Priced - F.Swept.begin()));
     Res.Applied = true;
     Res.Replacement = Rep;
+    if (Footprint)
+      *Footprint = std::move(F);
     return Res;
   }
-  G.removeUnreachable(); // every rule failed: drop any stranded orphans
+  return Res;
+}
+
+ApplyResult pypm::search::speculateCandidate(Graph &G, graph::UndoLog &Log,
+                                             const graph::TermView &View,
+                                             const Candidate &C,
+                                             const match::Witness &W,
+                                             const RuleSet &Rules,
+                                             const graph::ShapeInference &SI,
+                                             const sim::CostModel &CM) {
+  ApplyResult R;
+  G.checkpoint(Log);
+  try {
+    R = fireCandidate(G, View, C, W, Rules, SI, CM);
+  } catch (...) {
+    R = ApplyResult(); // speculative fault: branch dropped
+  }
+  G.rollback();
+  return R;
+}
+
+ApplyResult pypm::search::applyCandidate(Graph &G, const Candidate &C,
+                                         const RuleSet &Rules,
+                                         const graph::ShapeInference &SI,
+                                         const sim::CostModel &CM,
+                                         const match::Machine::Options &MO,
+                                         FaultInjector *Faults) {
+  const RewriteEntry &E = Rules.entries()[C.Entry];
+  term::TermArena Arena(G.signature());
+  graph::TermView View(G, Arena);
+  match::FastMatcher M(Arena, MO);
+  MachineStatus S = M.match(E.Pattern->Pat, View.termFor(C.Node));
+  for (uint32_t WI = 0; S == MachineStatus::Success && WI < C.WitnessIdx; ++WI)
+    S = M.resume();
+  if (S != MachineStatus::Success)
+    return {}; // not reachable on a faithful clone; refuse rather than UB
+  ApplyResult Res;
+  try {
+    Res = fireCandidate(G, View, C, M.witness(), Rules, SI, CM, Faults);
+  } catch (...) {
+    // Transactional: the partial build only appended unreferenced nodes;
+    // sweep them so the caller sees the pre-call graph.
+    G.removeUnreachable();
+    throw;
+  }
+  if (!Res.Applied)
+    G.removeUnreachable(); // every rule failed: drop any stranded orphans
   return Res;
 }
 
 namespace {
 
-/// One partial commit sequence under exploration: the clone it produced,
-/// the level-0 candidate it started from (all that matters for the
-/// receding-horizon commit), and its accumulated modeled cost.
+/// A materialized speculative graph state (Lookahead >= 2 only): a
+/// private copy with its own arena and view, on which the next depth's
+/// moves are enumerated, applied and rolled back.
+struct Branch {
+  Graph G;
+  term::TermArena Arena;
+  graph::TermView View;
+  graph::UndoLog Undo;
+  explicit Branch(const Graph &From)
+      : G(From), Arena(G.signature()), View(G, Arena) {}
+};
+
+/// A branch's moves at one depth: the candidates enumerated on it, their
+/// witnesses, and the priced outcome of the ones expanded.
+struct Moves {
+  std::vector<Candidate> Cands;
+  std::vector<match::Witness> Wits;
+  std::vector<ApplyResult> Results;
+};
+
+/// One partial commit sequence under exploration: the level-0 candidate it
+/// started from (all that matters for the receding-horizon commit), its
+/// accumulated modeled cost, and — when it must be expanded further — its
+/// materialized graph state. A freshly priced child names its parent state
+/// and move until it is materialized.
 struct BeamState {
-  std::unique_ptr<Graph> G;
+  std::unique_ptr<Branch> B;
   uint32_t FirstCand = 0; ///< index into the sweep's candidate vector
   double Cost = 0.0;
   bool Terminal = false; ///< no further candidates on this branch
+  uint32_t Parent = 0, Move = 0;
+};
+
+/// Per-worker scratch for threaded level-1 speculation: one private copy
+/// of the subject, taken at the first job of each step.
+struct WorkerCopy {
+  std::unique_ptr<Graph> G;
+  graph::UndoLog Undo;
+  uint64_t Step = 0; ///< the search step G was copied at
+  uint64_t Copies = 0;
 };
 
 class SearchLoop {
@@ -220,7 +308,8 @@ public:
   SearchLoop(Graph &G, const RuleSet &Rules, const graph::ShapeInference &SI,
              const RewriteOptions &Opts)
       : G(G), Rules(Rules), SI(SI), Opts(Opts),
-        CM(Opts.SearchCost ? *Opts.SearchCost : OwnedCM) {
+        CM(Opts.SearchCost ? *Opts.SearchCost : OwnedCM), Arena(G.signature()),
+        View(G, Arena) {
     const size_t NumEntries = Rules.entries().size();
     Quarantined.assign(NumEntries, 0);
     FuelExhausts.assign(NumEntries, 0);
@@ -253,8 +342,10 @@ public:
       MachineOpts.EngineBudget = Bgt;
     }
     Faults = Opts.Faults ? Opts.Faults : FaultInjector::global();
-    if (Opts.NumThreads >= 1)
+    if (Opts.NumThreads >= 1) {
       Pool = std::make_unique<ThreadPool>(Opts.NumThreads);
+      Workers.resize(Pool->size());
+    }
   }
 
   RewriteStats run() {
@@ -264,21 +355,30 @@ public:
     while (!halted()) {
       ++Stats.Passes;
       ++Stats.SearchSteps;
-      std::vector<Candidate> Cands = enumerateCommitted();
+      std::vector<Candidate> Cands;
+      std::vector<match::Witness> Wits;
+      enumerateCommitted(Cands, Wits);
       if (halted() || Cands.empty())
         break;
+      // An absorbed attempt fault may have dropped the view mid-sweep, and
+      // speculation reads it without converting: re-memoize every
+      // candidate's cone (a memo hit per candidate otherwise). Conversion
+      // is hash-consed in the run's arena, so the witnesses' terms stay
+      // valid.
+      for (const Candidate &C : Cands)
+        View.termFor(C.Node);
       double S0 = nowSeconds();
-      std::optional<uint32_t> Choice = selectCandidate(Cands);
+      std::optional<uint32_t> Choice = selectCandidate(Cands, Wits);
       Stats.SearchSeconds += nowSeconds() - S0;
       if (!Choice) {
         // Pathological: nothing in the expansion set could build. Fall
         // back to the greedy step over the full candidate list so search
         // never reaches a worse fixpoint than greedy on buildability.
-        if (!commitFirstBuildable(Cands))
+        if (!commitFirstBuildable(Cands, Wits))
           break;
         continue;
       }
-      if (!commit(Cands[*Choice]))
+      if (!commit(Cands[*Choice], Wits[*Choice]))
         continue; // absorbed fault: state rolled back, re-enumerate
       if (Stats.TotalFired >= Opts.MaxRewrites) {
         halt(BudgetReason::Rewrites);
@@ -286,6 +386,9 @@ public:
       }
     }
     Stats.ModeledCostAfter = CM.graphCost(G).Seconds;
+    Stats.ViewConversions = View.conversions();
+    for (const WorkerCopy &W : Workers)
+      Stats.SearchGraphCopies += W.Copies;
     Stats.TotalSeconds = nowSeconds() - Start;
     Stats.DiscoverySeconds = Stats.MatchSeconds;
     return std::move(Stats);
@@ -305,6 +408,13 @@ private:
   const plan::Program *Plan = nullptr;
   std::unique_ptr<plan::Program> OwnedPlan;
   std::unique_ptr<ThreadPool> Pool;
+  /// The run's one incremental term view (and its arena): committed
+  /// enumeration converts through it, commits invalidate it by footprint,
+  /// speculation only reads it.
+  term::TermArena Arena;
+  graph::TermView View;
+  graph::UndoLog Undo; ///< serial speculation's journal on the subject
+  std::vector<WorkerCopy> Workers;
   std::vector<uint8_t> Quarantined;
   std::vector<uint32_t> FuelExhausts;
   BudgetReason Stop = BudgetReason::None;
@@ -397,11 +507,10 @@ private:
     return Stats.PerPattern[entryName(Rules.entries()[I])];
   }
 
-  /// Phase 1: the governed enumeration sweep (see file header).
-  std::vector<Candidate> enumerateCommitted() {
-    std::vector<Candidate> Out;
-    term::TermArena Arena(G.signature());
-    graph::TermView View(G, Arena);
+  /// Phase 1: the governed enumeration sweep (see file header). Appends
+  /// each candidate to \p Out and its witness to \p Wits.
+  void enumerateCommitted(std::vector<Candidate> &Out,
+                          std::vector<match::Witness> &Wits) {
     const auto &Entries = Rules.entries();
     const uint64_t Sweep = Stats.SearchSteps - 1; // fault-site "pass" id
 
@@ -428,7 +537,7 @@ private:
       if (G.isDead(N))
         continue;
       if (shouldStop())
-        return Out;
+        return;
       ++Stats.NodesVisited;
       const uint8_t *Cand = nullptr;
       if (Batched) {
@@ -439,7 +548,7 @@ private:
       }
       for (size_t I = 0; I != Entries.size(); ++I) {
         if (halted())
-          return Out;
+          return;
         if (Quarantined[I])
           continue;
         const RewriteEntry &E = Entries[I];
@@ -474,7 +583,7 @@ private:
         Stats.MatchSeconds += Elapsed;
         chargeAttempt(SeenSteps, SeenMu);
         if (halted())
-          return Out;
+          return;
         if (S != MachineStatus::Success) {
           if (S == MachineStatus::OutOfFuel) {
             ++PS.FuelExhausted;
@@ -504,6 +613,7 @@ private:
           if (RI >= 0) {
             Out.push_back(Candidate{N, static_cast<uint32_t>(I), WI,
                                     static_cast<uint32_t>(RI)});
+            Wits.push_back(std::move(W));
             ++Stats.SearchCandidates;
           } else {
             ++PS.GuardRejects;
@@ -542,51 +652,41 @@ private:
         }
       }
     }
-    return Out;
   }
 
   /// Phase 2: speculative expansion + ranking. Returns the index of the
   /// level-0 candidate to commit, or nullopt when nothing could build.
-  std::optional<uint32_t> selectCandidate(const std::vector<Candidate> &L0) {
+  std::optional<uint32_t>
+  selectCandidate(const std::vector<Candidate> &L0,
+                  const std::vector<match::Witness> &W0) {
     const bool Beam = Opts.Search == SearchStrategy::Beam;
     const size_t ExpandN =
         Beam ? L0.size() : std::min<size_t>(Opts.BeamWidth, L0.size());
 
-    // Level 1: clone the subject graph per expanded candidate.
-    struct Exp {
-      std::unique_ptr<Graph> GC;
-      ApplyResult R;
-    };
-    std::vector<Exp> E1(ExpandN);
-    forEach(ExpandN, [&](size_t K) {
-      auto GC = std::make_unique<Graph>(G);
-      try {
-        E1[K].R = applyCandidate(*GC, L0[K], Rules, SI, CM, MachineOpts,
-                                 /*Faults=*/nullptr);
-      } catch (...) {
-        E1[K].R.Applied = false; // speculative fault: branch dropped
-      }
-      E1[K].GC = std::move(GC);
-    });
+    // Level 1: apply, price and roll back each expanded candidate.
+    std::vector<ApplyResult> R1 = speculate(L0, W0, ExpandN);
     Stats.SearchExpansions += ExpandN;
-
     std::vector<BeamState> States;
     for (size_t K = 0; K != ExpandN; ++K) {
-      if (!E1[K].R.Applied)
+      if (!R1[K].Applied)
         continue;
       BeamState S;
-      S.G = std::move(E1[K].GC);
       S.FirstCand = static_cast<uint32_t>(K);
-      S.Cost = RunningCost + E1[K].R.CostDelta;
+      S.Cost = RunningCost + R1[K].CostDelta;
       States.push_back(std::move(S));
     }
     if (States.empty())
       return std::nullopt;
     prune(States);
+    if (Opts.Lookahead >= 2)
+      materialize(States, [&](const BeamState &S) {
+        return branchOf(G, View, L0[S.FirstCand], W0[S.FirstCand]);
+      });
 
     // Depths 2..Lookahead: BestOfN rolls each survivor forward greedily
     // (its canonical-first candidate); Beam expands every candidate of
-    // every survivor and keeps the BeamWidth cheapest sequences.
+    // every survivor and keeps the BeamWidth cheapest sequences. A branch
+    // is never shared between tasks: each task owns one state's moves.
     EnumOptions EO;
     EO.MachineOpts = MachineOpts;
     EO.MaxWitnesses = std::max(1u, Opts.SearchWitnesses);
@@ -595,65 +695,123 @@ private:
       if (std::all_of(States.begin(), States.end(),
                       [](const BeamState &S) { return S.Terminal; }))
         break;
-      std::vector<std::vector<Candidate>> Moves(States.size());
+      std::vector<Moves> M(States.size());
       forEach(States.size(), [&](size_t K) {
-        if (!States[K].Terminal)
-          Moves[K] = enumerateCandidates(*States[K].G, Rules, EO);
-      });
-      struct Job {
-        size_t State;
-        size_t Move;
-      };
-      std::vector<Job> Jobs;
-      for (size_t K = 0; K != States.size(); ++K) {
-        if (States[K].Terminal || Moves[K].empty()) {
-          States[K].Terminal = true;
-          continue;
-        }
-        size_t Take = Beam ? Moves[K].size() : 1;
+        if (States[K].Terminal)
+          return;
+        Branch &B = *States[K].B;
+        enumerateCandidates(B.View, Rules, EO, M[K].Cands, M[K].Wits);
+        size_t Take = Beam ? M[K].Cands.size()
+                           : std::min<size_t>(1, M[K].Cands.size());
+        M[K].Results.resize(Take);
         for (size_t J = 0; J != Take; ++J)
-          Jobs.push_back(Job{K, J});
-      }
-      if (Jobs.empty())
-        break;
-      std::vector<Exp> E(Jobs.size());
-      forEach(Jobs.size(), [&](size_t K) {
-        auto GC = std::make_unique<Graph>(*States[Jobs[K].State].G);
-        try {
-          E[K].R = applyCandidate(*GC, Moves[Jobs[K].State][Jobs[K].Move],
-                                  Rules, SI, CM, MachineOpts,
-                                  /*Faults=*/nullptr);
-        } catch (...) {
-          E[K].R.Applied = false;
-        }
-        E[K].GC = std::move(GC);
+          M[K].Results[J] = speculateCandidate(
+              B.G, B.Undo, B.View, M[K].Cands[J], M[K].Wits[J], Rules, SI, CM);
       });
-      Stats.SearchExpansions += Jobs.size();
+      size_t Jobs = 0;
+      for (const Moves &Mv : M)
+        Jobs += Mv.Results.size();
+      if (Jobs == 0)
+        break;
+      Stats.SearchExpansions += Jobs;
 
       // Children in (state, move) order — the stable sort below preserves
       // this as the cost tie-break; terminal states carry forward.
       std::vector<BeamState> Next;
+      for (size_t K = 0; K != States.size(); ++K)
+        for (size_t J = 0; J != M[K].Results.size(); ++J) {
+          if (!M[K].Results[J].Applied)
+            continue;
+          BeamState S;
+          S.FirstCand = States[K].FirstCand;
+          S.Cost = States[K].Cost + M[K].Results[J].CostDelta;
+          S.Parent = static_cast<uint32_t>(K);
+          S.Move = static_cast<uint32_t>(J);
+          Next.push_back(std::move(S));
+        }
       std::vector<uint8_t> Progressed(States.size(), 0);
-      for (size_t K = 0; K != Jobs.size(); ++K) {
-        if (!E[K].R.Applied)
-          continue;
-        BeamState &Parent = States[Jobs[K].State];
-        BeamState S;
-        S.G = std::move(E[K].GC);
-        S.FirstCand = Parent.FirstCand;
-        S.Cost = Parent.Cost + E[K].R.CostDelta;
-        Next.push_back(std::move(S));
-        Progressed[Jobs[K].State] = 1;
-      }
+      for (const BeamState &S : Next)
+        Progressed[S.Parent] = 1;
       for (size_t K = 0; K != States.size(); ++K)
         if (!Progressed[K]) {
-          States[K].Terminal = true;
-          Next.push_back(std::move(States[K]));
+          // A carried state is never expanded again: its branch can go.
+          BeamState S;
+          S.FirstCand = States[K].FirstCand;
+          S.Cost = States[K].Cost;
+          S.Terminal = true;
+          Next.push_back(std::move(S));
         }
+      prune(Next);
+      if (Depth < Opts.Lookahead)
+        materialize(Next, [&](const BeamState &S) {
+          const Branch &P = *States[S.Parent].B;
+          const Moves &Mv = M[S.Parent];
+          return branchOf(P.G, P.View, Mv.Cands[S.Move], Mv.Wits[S.Move]);
+        });
       States = std::move(Next);
-      prune(States);
     }
     return States.front().FirstCand;
+  }
+
+  /// Level-1 expansion of the first \p N candidates. Serially every
+  /// candidate is applied to the subject graph and rolled back; a pool
+  /// worker takes one private copy of the subject at its first job of the
+  /// step and applies and rolls back there. Both read the shared view.
+  std::vector<ApplyResult> speculate(const std::vector<Candidate> &L0,
+                                     const std::vector<match::Witness> &W0,
+                                     size_t N) {
+    std::vector<ApplyResult> R(N);
+    if (!Pool || N <= 1) {
+      for (size_t K = 0; K != N; ++K)
+        R[K] = speculateCandidate(G, Undo, View, L0[K], W0[K], Rules, SI, CM);
+      return R;
+    }
+    const uint64_t Step = Stats.SearchSteps;
+    Pool->parallelFor(N, [&](size_t K, unsigned Worker) {
+      WorkerCopy &WC = Workers[Worker];
+      if (!WC.G || WC.Step != Step) {
+        WC.G = std::make_unique<Graph>(G);
+        WC.Step = Step;
+        ++WC.Copies;
+      }
+      R[K] = speculateCandidate(*WC.G, WC.Undo, View, L0[K], W0[K], Rules, SI,
+                                CM);
+    });
+    return R;
+  }
+
+  /// A branch extending \p From (whose ids \p V resolves) by \p C, or
+  /// null when the move does not apply.
+  std::unique_ptr<Branch> branchOf(const Graph &From, const graph::TermView &V,
+                                   const Candidate &C,
+                                   const match::Witness &W) {
+    auto B = std::make_unique<Branch>(From);
+    try {
+      if (fireCandidate(B->G, V, C, W, Rules, SI, CM).Applied)
+        return B;
+    } catch (...) {
+      // A throwing guard or builder: the move has no branch.
+    }
+    return nullptr;
+  }
+
+  /// Gives every non-terminal state of \p States the branch \p Make
+  /// builds for it (one graph copy each); a state whose move does not
+  /// re-apply turns terminal (it always re-applies: the apply is
+  /// deterministic).
+  template <typename MakeFn>
+  void materialize(std::vector<BeamState> &States, MakeFn Make) {
+    forEach(States.size(), [&](size_t K) {
+      if (!States[K].Terminal)
+        States[K].B = Make(States[K]);
+    });
+    for (BeamState &S : States) {
+      if (S.Terminal)
+        continue;
+      ++Stats.SearchGraphCopies;
+      if (!S.B)
+        S.Terminal = true;
+    }
   }
 
   /// Stable sort on cost (ties keep canonical generation order), then
@@ -678,32 +836,54 @@ private:
         Body(I);
   }
 
-  /// Phase 3: fire \p C on the subject graph, fault injector armed.
-  /// Returns false when a fault was absorbed (state already rolled back).
-  bool commit(const Candidate &C) {
+  /// Phase 3: fire \p C under \p W on the subject graph, fault injector
+  /// armed, and invalidate the view by the commit's footprint. Returns
+  /// false when nothing committed — an absorbed fault or no buildable rule
+  /// — after rolling back to the last committed state.
+  bool commit(const Candidate &C, const match::Witness &W) {
+    View.termFor(C.Node); // a memo hit unless a rollback dropped the view
     ApplyResult R;
+    graph::CommitFootprint F;
     try {
-      R = applyCandidate(G, C, Rules, SI, CM, MachineOpts, Faults);
+      R = fireCandidate(G, View, C, W, Rules, SI, CM, Faults, &F);
     } catch (const std::exception &Ex) {
+      rollbackPartialBuild();
       onAttemptFault(C.Entry, Ex.what());
       return false;
     } catch (...) {
+      rollbackPartialBuild();
       onAttemptFault(C.Entry, "unknown exception");
       return false;
     }
-    if (!R.Applied)
+    if (!R.Applied) {
+      rollbackPartialBuild(); // every rule failed: drop stranded orphans
       return false;
+    }
+    Stats.SweepVisits += F.SweepVisits;
+    Stats.FootprintNodes += F.size();
+    View.invalidateNodes(F);
     noteCommit(C, R);
     return true;
   }
 
+  /// Transactional rollback of a failed commit: the partial build only
+  /// appended nodes nothing references, so a global sweep restores the
+  /// last committed state. The sweep may kill memoized nodes, so the view
+  /// is dropped.
+  void rollbackPartialBuild() {
+    G.removeUnreachable();
+    Stats.SweepVisits += G.numNodes();
+    View.invalidate();
+  }
+
   /// Greedy fallback when no scored candidate could build: fire the first
   /// candidate (canonical order) that applies. Returns false at fixpoint.
-  bool commitFirstBuildable(const std::vector<Candidate> &Cands) {
-    for (const Candidate &C : Cands) {
+  bool commitFirstBuildable(const std::vector<Candidate> &Cands,
+                            const std::vector<match::Witness> &Wits) {
+    for (size_t I = 0; I != Cands.size(); ++I) {
       if (halted())
         return false;
-      if (commit(C))
+      if (commit(Cands[I], Wits[I]))
         return true;
       if (halted())
         return false;

@@ -15,19 +15,23 @@
 ///
 /// Two strategies over one machinery (RewriteOptions::Search):
 ///  - BestOfN: per step, score the first BeamWidth candidates (each
-///    rolled forward Lookahead-1 greedy steps on a speculative clone) and
-///    commit the cheapest;
+///    rolled forward Lookahead-1 greedy steps) and commit the cheapest;
 ///  - Beam: keep the BeamWidth cheapest partial commit sequences, expand
 ///    to depth Lookahead, commit the winner's first step (receding
 ///    horizon), re-enumerate, repeat.
 ///
-/// Soundness of rollback is by construction: speculation runs exclusively
-/// on Graph clones, so a rejected branch never touched the subject graph
-/// — byte-identity of the non-committed state is trivial, not recovered.
-/// Determinism at any NumThreads: the committed path (enumeration, budget
-/// charges, quarantine counts, fault sites, the commits themselves) is
-/// strictly serial in canonical candidate order; worker threads only
-/// score clones, and their results merge by candidate index. See
+/// Speculation is apply-and-roll-back: a candidate is priced by firing it
+/// on the subject graph inside an exact undo scope (Graph::checkpoint /
+/// rollback) and rolling it back — no graph is cloned per candidate. The
+/// run keeps one incremental term view: commits invalidate it by
+/// footprint, and speculation only reads it, resolving each witness
+/// through the view's rooted resolution (TermView::nodeFor(t, root)),
+/// which answers exactly what a view converted cold from the candidate's
+/// root would. Determinism at any NumThreads: the committed path
+/// (enumeration, budget charges, quarantine counts, fault sites, the
+/// commits themselves) is strictly serial in canonical candidate order;
+/// pool workers only price candidates — each on one private copy of the
+/// subject per step — and their results merge by candidate index. See
 /// DESIGN.md §"Cost-directed search".
 ///
 //===----------------------------------------------------------------------===//
@@ -37,6 +41,7 @@
 
 #include "graph/Graph.h"
 #include "graph/ShapeInference.h"
+#include "graph/TermView.h"
 #include "match/Machine.h"
 #include "rewrite/RewriteEngine.h"
 #include "rewrite/Rule.h"
@@ -47,7 +52,7 @@
 namespace pypm::search {
 
 /// One fireable rewrite on a specific graph state, identified positionally
-/// so it can be re-derived on any structurally identical graph (a clone):
+/// so it can be re-derived on any structurally identical graph (a copy):
 /// match entry \p Entry at node \p Node, resume to witness \p WitnessIdx,
 /// fire rule \p Rule (the first of the entry's rules whose guard passes
 /// under that witness). Candidates are enumerated — and therefore ranked
@@ -79,6 +84,13 @@ std::vector<Candidate> enumerateCandidates(const graph::Graph &G,
                                            const rewrite::RuleSet &Rules,
                                            const EnumOptions &EO = {});
 
+/// The same enumeration on View's graph through \p View (converting as
+/// needed), appending each candidate to \p Out and its witness — terms of
+/// View's arena — to \p Wits, for fireCandidate/speculateCandidate.
+void enumerateCandidates(graph::TermView &View, const rewrite::RuleSet &Rules,
+                         const EnumOptions &EO, std::vector<Candidate> &Out,
+                         std::vector<match::Witness> &Wits);
+
 struct ApplyResult {
   bool Applied = false;
   /// sim::CostModel::commitDelta of this commit (Seconds added minus
@@ -89,20 +101,50 @@ struct ApplyResult {
 };
 
 /// Re-derives \p C's witness on \p G — which must be structurally
-/// identical to the graph it was enumerated on, e.g. a clone — and fires
+/// identical to the graph it was enumerated on, e.g. a copy — and fires
 /// it: build the RHS, redirect uses, sweep, delta-cost. Self-contained
-/// (private arena/view/matcher), so concurrent calls on distinct clones
-/// are safe. \p Faults is consulted per guard evaluation and per RHS
-/// node built (the committed path passes the run's injector; speculation
-/// passes nullptr — speculation is hermetic by contract). Exceptions from
-/// guards/builders propagate to the caller AFTER the partial build has
-/// been rolled back (the graph is back to its pre-call state).
+/// (private arena/view/matcher), so concurrent calls on distinct graphs
+/// are safe; the search loop does not use it (critical-pair analysis and
+/// the test oracles do). \p Faults is consulted per guard evaluation and
+/// per RHS node built (the committed path passes the run's injector;
+/// speculation passes nullptr — speculation is hermetic by contract).
+/// Exceptions from guards/builders propagate to the caller AFTER the
+/// partial build has been rolled back (the graph is back to its pre-call
+/// state).
 ApplyResult applyCandidate(graph::Graph &G, const Candidate &C,
                            const rewrite::RuleSet &Rules,
                            const graph::ShapeInference &SI,
                            const sim::CostModel &CM,
                            const match::Machine::Options &MO = {},
                            FaultInjector *Faults = nullptr);
+
+/// Fires \p C under its witness \p W (from enumerateCandidates(View, …))
+/// on \p G: build the RHS, commit, delta-cost. Witness variables resolve
+/// through \p View's rooted resolution at C.Node; the view may belong to
+/// G or to a graph G copies (the ids agree), and is only read, so
+/// concurrent calls on distinct graphs may share it. When no rule builds,
+/// or a guard or builder throws, the partial build and any failed-rule
+/// orphans stay in G — the caller rolls back. \p Footprint, when
+/// non-null, receives the commit's footprint. \p Faults as in
+/// applyCandidate.
+ApplyResult fireCandidate(graph::Graph &G, const graph::TermView &View,
+                          const Candidate &C, const match::Witness &W,
+                          const rewrite::RuleSet &Rules,
+                          const graph::ShapeInference &SI,
+                          const sim::CostModel &CM,
+                          FaultInjector *Faults = nullptr,
+                          graph::CommitFootprint *Footprint = nullptr);
+
+/// The search's speculation primitive: fireCandidate (no faults) inside
+/// an undo scope journaled in \p Log, then rollback. Returns the priced
+/// outcome — equal to applyCandidate's on a fresh copy of G — and leaves
+/// G exactly as it was. A throwing guard or builder yields !Applied.
+ApplyResult speculateCandidate(graph::Graph &G, graph::UndoLog &Log,
+                               const graph::TermView &View,
+                               const Candidate &C, const match::Witness &W,
+                               const rewrite::RuleSet &Rules,
+                               const graph::ShapeInference &SI,
+                               const sim::CostModel &CM);
 
 /// The cost-directed rewrite loop. rewriteToFixpoint dispatches here when
 /// Opts.Search != Greedy and Lookahead >= 1 and BeamWidth >= 1 (the

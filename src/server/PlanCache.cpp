@@ -444,6 +444,19 @@ PlanCache::acquire(std::string_view RawBytes, DiagnosticEngine &Diags,
   return Fresh;
 }
 
+const analysis::critical::ConfluenceReport &
+PlanCache::confluence(const CachedRuleSet &E) {
+  if (E.LP && E.LP->Confluence)
+    return *E.LP->Confluence;
+  std::call_once(E.ConfOnce, [&] {
+    E.Conf = std::make_unique<analysis::critical::ConfluenceReport>(
+        analysis::critical::analyzeConfluence(E.rules(), E.Sig));
+    std::lock_guard<std::mutex> Lock(Mu);
+    ++Counters.ConfluenceAnalyses;
+  });
+  return *E.Conf;
+}
+
 PlanCache::Stats PlanCache::stats() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Counters;

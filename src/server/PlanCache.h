@@ -7,7 +7,10 @@
 /// layout), keys it with plan::cacheKey (FNV-1a over both), and hands back
 /// a ready-to-serve CachedRuleSet: the compiled plan::Program, the
 /// RuleSet, and the lint-preflight report, shared (immutably) by every
-/// concurrent request.
+/// concurrent request — plus the rule set's confluence certificate, a
+/// property of the rule set rather than of any request, computed once per
+/// entry on first use by a Search=auto request (or taken from the
+/// .pypmplan it came from).
 ///
 /// Three tiers, fastest first:
 ///
@@ -54,6 +57,7 @@
 #define PYPM_SERVER_PLANCACHE_H
 
 #include "analysis/Analysis.h"
+#include "analysis/CriticalPairs.h"
 #include "plan/PlanSerializer.h"
 #include "rewrite/Rule.h"
 #include "server/Protocol.h"
@@ -119,8 +123,13 @@ struct CachedRuleSet {
   std::vector<std::string> quarantineSnapshot() const;
 
 private:
+  friend class PlanCache;
   mutable std::mutex QMu;
   mutable std::vector<std::string> Sticky;
+  /// The lazily computed confluence certificate (PlanCache::confluence).
+  /// Like the quarantine table it fills through the const entry.
+  mutable std::once_flag ConfOnce;
+  mutable std::unique_ptr<analysis::critical::ConfluenceReport> Conf;
 };
 
 class PlanCache {
@@ -152,6 +161,9 @@ public:
     uint64_t AotHits = 0;   ///< valid .pypmso served from disk
     uint64_t AotBuilds = 0; ///< .pypmso built (and validated) this process
     uint64_t AotFailures = 0; ///< build/validation failed => tier skipped
+    /// Confluence analyses run for entries' certificates (at most one per
+    /// entry; 0 for entries whose .pypmplan embeds one).
+    uint64_t ConfluenceAnalyses = 0;
   };
 
   PlanCache() = default;
@@ -166,6 +178,13 @@ public:
                                                CacheSource &Src);
 
   Stats stats() const;
+
+  /// \p E's confluence certificate over E.Sig: the one embedded in the
+  /// .pypmplan the entry was loaded from when it carries one, else the
+  /// analysis — run at most once per entry however many requests race
+  /// for it (std::call_once) and counted in Stats::ConfluenceAnalyses.
+  const analysis::critical::ConfluenceReport &
+  confluence(const CachedRuleSet &E);
 
   /// Drops the memory tier (tests use this to force the disk path).
   void flushMemory();

@@ -198,6 +198,14 @@ RewriteReply Server::handle(const RewriteRequest &R) {
     EOpts.Lookahead = R.Lookahead;
   if (R.SearchWitnesses)
     EOpts.SearchWitnesses = R.SearchWitnesses;
+  // Search=auto resolves on the rule set's confluence certificate, which
+  // the entry computes once. It was computed over the entry's Σ, so it
+  // stands in for a per-request analysis only while the graph declared no
+  // operator beyond Σ; otherwise the engine analyzes under the request's
+  // own signature.
+  if (EOpts.Search == rewrite::SearchStrategy::Auto &&
+      Sig.size() == E->Sig.size())
+    EOpts.Confluence = &Cache.confluence(*E);
   EOpts.Diags = &Diags;
 
   // Per-request governance: a fresh budget and cancellation token — this

@@ -331,3 +331,126 @@ TEST(GraphCommitOracle, LocalSweepEqualsGlobalSweep) {
     }
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Exact undo scopes
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Everything observable about a graph's state: every node slot (op,
+/// inputs, attributes, type, liveness), every user list in order, the
+/// outputs, the allocation estimate and the sweep bookkeeping.
+void expectSameState(const Graph &A, const Graph &B) {
+  ASSERT_EQ(A.numNodes(), B.numNodes());
+  EXPECT_EQ(A.outputs(), B.outputs());
+  EXPECT_EQ(A.approxMemoryBytes(), B.approxMemoryBytes());
+  EXPECT_EQ(A.sweptClean(), B.sweptClean());
+  for (NodeId N = 0; N != A.numNodes(); ++N) {
+    SCOPED_TRACE("node " + std::to_string(N));
+    EXPECT_EQ(A.op(N), B.op(N));
+    EXPECT_EQ(A.isDead(N), B.isDead(N));
+    EXPECT_EQ(A.type(N), B.type(N));
+    auto IA = A.inputs(N), IB = B.inputs(N);
+    EXPECT_EQ(std::vector<NodeId>(IA.begin(), IA.end()),
+              std::vector<NodeId>(IB.begin(), IB.end()));
+    auto AA = A.attrs(N), AB = B.attrs(N);
+    EXPECT_EQ(std::vector<term::Attr>(AA.begin(), AA.end()),
+              std::vector<term::Attr>(AB.begin(), AB.end()));
+    auto UA = A.users(N), UB = B.users(N);
+    EXPECT_EQ(std::vector<NodeId>(UA.begin(), UA.end()),
+              std::vector<NodeId>(UB.begin(), UB.end()));
+  }
+}
+
+/// One random commit in the shape GraphCommitOracle draws: failed-build
+/// orphans, then a replacement wired to the root or one of its inputs.
+CommitFootprint randomCommit(Rng &R, Graph &G, term::OpId Un) {
+  std::vector<NodeId> Live;
+  for (NodeId N = 0; N != G.numNodes(); ++N)
+    if (!G.isDead(N))
+      Live.push_back(N);
+  NodeId Root = Live[R.below(Live.size())];
+  auto Ins = G.inputs(Root);
+  NodeId FirstNew = static_cast<NodeId>(G.numNodes());
+  std::vector<NodeId> Appended;
+  for (uint64_t I = R.below(3); I != 0; --I)
+    Appended.push_back(Live[R.below(Live.size())]);
+  Appended.push_back(Ins.empty() || R.chance(1, 3) ? Root
+                                                   : Ins[R.below(Ins.size())]);
+  NodeId Rep = InvalidNode;
+  for (NodeId In : Appended)
+    Rep = G.addNode(Un, {In});
+  return G.commitRewrite(Root, Rep, FirstNew);
+}
+
+void expectSameFootprint(const CommitFootprint &A, const CommitFootprint &B) {
+  EXPECT_EQ(A.Root, B.Root);
+  EXPECT_EQ(A.Closure, B.Closure);
+  EXPECT_EQ(A.Swept, B.Swept);
+  EXPECT_EQ(A.NewBegin, B.NewBegin);
+  EXPECT_EQ(A.NewEnd, B.NewEnd);
+  EXPECT_EQ(A.SweepVisits, B.SweepVisits);
+}
+
+} // namespace
+
+// Rollback against an untouched copy: over random DAGs, each step opens a
+// scope, makes one to three random commits inside it (the first step of
+// every seed runs on a never-swept graph, so its first commit takes the
+// global-sweep branch), sometimes an out-of-band redirect, output edit and
+// global sweep too, and rolls back. The state must equal the copy's, and
+// the next real commit must produce the same footprint on both. One
+// journal serves every scope of a seed, so its reuse is covered as well.
+TEST(GraphUndo, RollbackRestoresExactStateOverRandomCommits) {
+  for (uint64_t Seed = 0; Seed != 50; ++Seed) {
+    SCOPED_TRACE("seed=" + std::to_string(Seed));
+    term::Signature Sig;
+    term::OpId Un = Sig.addOp("Relu", 1), Bin = Sig.addOp("Add", 2);
+    Rng R(Seed * 6113 + 5);
+    Graph G(Sig);
+    buildRandomDag(R, G, Un, Bin);
+    UndoLog Log;
+    for (int Step = 0; Step != 8; ++Step) {
+      SCOPED_TRACE("step " + std::to_string(Step));
+      Graph Untouched = G;
+      G.checkpoint(Log);
+      EXPECT_TRUE(G.inUndoScope());
+      EXPECT_FALSE(Graph(G).inUndoScope()); // a copy leaves the scope behind
+      for (uint64_t I = 1 + R.below(3); I != 0; --I)
+        randomCommit(R, G, Un);
+      if (R.chance(1, 3)) {
+        NodeId A = static_cast<NodeId>(R.below(G.numNodes()));
+        if (!G.isDead(A)) {
+          NodeId B = G.addNode(Un, {A});
+          G.replaceAllUses(A, B, B);
+          G.addOutput(B);
+        }
+        G.removeUnreachable();
+      }
+      G.rollback();
+      EXPECT_FALSE(G.inUndoScope());
+      expectSameState(G, Untouched);
+      uint64_t NextSeed = R.below(1u << 30);
+      Rng RA(NextSeed), RB(NextSeed);
+      expectSameFootprint(randomCommit(RA, G, Un),
+                          randomCommit(RB, Untouched, Un));
+      expectSameState(G, Untouched);
+    }
+  }
+}
+
+TEST(GraphUndo, RollbackWithNothingChangedIsANoOp) {
+  term::Signature Sig;
+  term::OpId Un = Sig.addOp("Relu", 1), Bin = Sig.addOp("Add", 2);
+  Rng R(11);
+  Graph G(Sig);
+  buildRandomDag(R, G, Un, Bin);
+  G.removeUnreachable();
+  Graph Untouched = G;
+  UndoLog Log;
+  G.checkpoint(Log);
+  G.rollback();
+  expectSameState(G, Untouched);
+  EXPECT_TRUE(G.sweptClean());
+}

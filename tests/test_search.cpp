@@ -20,7 +20,8 @@
 ///      ceilings, quarantine, injected faults, HaltOnFault, MaxRewrites —
 ///      and with the discovery modes (Batch, Incremental, precompiled
 ///      plans), deterministically at every thread count: worker threads
-///      only price hermetic clones, so nothing observable may move.
+///      only price candidates, hermetically, on private copies, so
+///      nothing observable may move.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +34,8 @@
 #include "support/FaultInjection.h"
 
 #include <gtest/gtest.h>
+
+#include <bit>
 
 using namespace pypm;
 using namespace pypm::testing;
@@ -660,6 +663,205 @@ TEST_F(SearchConflictTest, AutoIsBeamBitIdenticallyOnAConflictingSet) {
 }
 
 //===----------------------------------------------------------------------===//
+// Apply-and-roll-back speculation against the fresh-clone oracle
+//===----------------------------------------------------------------------===//
+
+/// Drives the search's own primitives step by step on \p G: one run-long
+/// view, kept current by commit footprints. At every step each candidate
+/// is priced by speculateCandidate on G itself and, as the oracle, by the
+/// public applyCandidate on a fresh copy with a cold view; Applied,
+/// Replacement, Swept and the bits of CostDelta must agree, and G must be
+/// left byte for byte as it was. Then candidate (step mod count) commits.
+/// Returns the number of candidates compared.
+size_t checkSpeculationAgainstClones(graph::Graph &G,
+                                     const rewrite::RuleSet &RS,
+                                     const graph::ShapeInference &SI,
+                                     unsigned MaxSteps) {
+  sim::CostModel CM;
+  term::TermArena Arena(G.signature());
+  graph::TermView View(G, Arena);
+  graph::UndoLog Log;
+  size_t Compared = 0;
+  for (unsigned Step = 0; Step != MaxSteps; ++Step) {
+    SCOPED_TRACE("step " + std::to_string(Step));
+    std::vector<search::Candidate> Cands;
+    std::vector<match::Witness> Wits;
+    search::enumerateCandidates(View, RS, {}, Cands, Wits);
+    if (Cands.empty())
+      break;
+    const std::string Before = graph::writeGraphText(G);
+    const uint64_t Bytes = G.approxMemoryBytes();
+    const size_t Slots = G.numNodes();
+    for (size_t K = 0; K != Cands.size(); ++K) {
+      SCOPED_TRACE("candidate " + std::to_string(K));
+      search::ApplyResult Spec = search::speculateCandidate(
+          G, Log, View, Cands[K], Wits[K], RS, SI, CM);
+      graph::Graph Clone(G);
+      search::ApplyResult Ref =
+          search::applyCandidate(Clone, Cands[K], RS, SI, CM);
+      EXPECT_EQ(Spec.Applied, Ref.Applied);
+      EXPECT_EQ(Spec.Replacement, Ref.Replacement);
+      EXPECT_EQ(Spec.Swept, Ref.Swept);
+      EXPECT_EQ(std::bit_cast<uint64_t>(Spec.CostDelta),
+                std::bit_cast<uint64_t>(Ref.CostDelta));
+      EXPECT_EQ(G.numNodes(), Slots);
+      EXPECT_EQ(G.approxMemoryBytes(), Bytes);
+      ++Compared;
+    }
+    EXPECT_EQ(graph::writeGraphText(G), Before);
+    size_t Pick = Step % Cands.size();
+    graph::CommitFootprint F;
+    search::ApplyResult R = search::fireCandidate(
+        G, View, Cands[Pick], Wits[Pick], RS, SI, CM, nullptr, &F);
+    if (!R.Applied) {
+      G.removeUnreachable();
+      View.invalidate();
+      continue;
+    }
+    View.invalidateNodes(F);
+  }
+  return Compared;
+}
+
+TEST(SearchSpeculation, RollbackPricingMatchesFreshClonesOnZooSteps) {
+  std::vector<models::ModelEntry> Models = {models::hfSuite()[0],
+                                            models::hfSuite()[1],
+                                            models::tvSuite()[0]};
+  for (const models::ModelEntry &M : Models)
+    for (opt::OptConfig OC : {opt::OptConfig::FmhaOnly,
+                              opt::OptConfig::EpilogOnly,
+                              opt::OptConfig::Both}) {
+      SCOPED_TRACE(M.Name + " " + std::string(opt::optConfigName(OC)));
+      term::Signature Sig;
+      auto G = M.Build(Sig);
+      opt::Pipeline Pipe = opt::makePipeline(Sig, OC);
+      graph::ShapeInference SI;
+      checkSpeculationAgainstClones(*G, Pipe.Rules, SI, 64);
+    }
+}
+
+/// Two `Const` leaves of one value are one term, and the run-long view
+/// (converting in ascending id order) makes the lower id the term's
+/// representative. The match at Root reaches the higher-id twin first, so
+/// a view converted cold from Root — what the clone path always used —
+/// resolves the RHS's `c` to the higher id. Rooted resolution must agree:
+/// the Relu(c_hi) branch dies but c_hi survives inside the replacement,
+/// and c_lo keeps its own user.
+constexpr const char *TwinRules = R"pypm(
+pattern TW(x, c) { return Add(Relu(c), x); }
+rule tw for TW(x, c) { return Mul(x, c); }
+)pypm";
+
+TEST(SearchSpeculation, ConstTwinResolvesToTheTwinTheRootReachesFirst) {
+  term::Signature Sig;
+  models::declareModelOps(Sig);
+  auto Lib = dsl::compileOrDie(TwinRules, Sig);
+  rewrite::RuleSet RS;
+  RS.addLibrary(*Lib);
+  graph::Graph G(Sig);
+  graph::NodeId In =
+      G.addLeaf("Input", graph::TensorType::make(term::DType::F32, {}));
+  graph::NodeId CLo = G.addConst(0.5);
+  graph::NodeId CHi = G.addConst(0.5);
+  graph::NodeId M = G.addNode(Sig.lookup("Mul"), {In, CLo});
+  graph::NodeId Root =
+      G.addNode(Sig.lookup("Add"), {G.addNode(Sig.lookup("Relu"), {CHi}), M});
+  G.addOutput(Root);
+  graph::ShapeInference SI;
+  SI.inferAll(G);
+
+  // The view's representative is the low twin; rooted resolution is not.
+  term::TermArena Arena(Sig);
+  graph::TermView View(G, Arena);
+  for (graph::NodeId N = 0; N != G.numNodes(); ++N)
+    View.termFor(N);
+  term::TermRef C = View.termFor(CLo);
+  ASSERT_EQ(View.termFor(CHi), C);
+  EXPECT_EQ(View.nodeFor(C), CLo);
+  EXPECT_EQ(View.nodeFor(C, Root), CHi);
+  EXPECT_EQ(View.nodeFor(C, M), CLo);
+
+  graph::Graph Stepped(G);
+  EXPECT_GT(checkSpeculationAgainstClones(Stepped, RS, SI, 4), 0u);
+  for (unsigned Threads : {0u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(Threads));
+    graph::Graph Copy(G);
+    RewriteStats S =
+        rewrite::rewriteToFixpoint(Copy, RS, SI, beamOpts(2, 1, Threads));
+    EXPECT_EQ(S.TotalFired, 1u);
+    EXPECT_FALSE(Copy.isDead(CHi));
+    EXPECT_FALSE(Copy.isDead(CLo));
+    graph::NodeId Out = Copy.outputs().front();
+    EXPECT_EQ(Copy.inputs(Out)[1], CHi);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Work gate: no per-candidate graph copies, no per-step views
+//===----------------------------------------------------------------------===//
+
+// Exact counters, not wall-clock. Serially the search copies no graph at
+// all (every candidate is applied and rolled back on the subject); at
+// threads 2 each pool worker copies the subject at most once per step.
+// The run keeps one view, so ViewConversions is bounded the same way as
+// the greedy engine's: each node's first conversion plus re-conversions
+// of what some footprint dropped. A fresh view per step would convert
+// about SearchSteps x live nodes, which the gate checks lies far above
+// the bound, so the gate cannot go vacuous.
+TEST(SearchWorkGate, BertBaseBeamCopiesNoGraphPerCandidate) {
+  const models::ModelEntry *Bert = nullptr;
+  std::vector<models::ModelEntry> Suite = models::hfSuite();
+  for (const models::ModelEntry &E : Suite)
+    if (E.Name == "bert-base")
+      Bert = &E;
+  ASSERT_NE(Bert, nullptr);
+  auto Run = [&](unsigned Threads, size_t *Slots, size_t *Live) {
+    RewriteOptions O;
+    O.Search = SearchStrategy::Beam;
+    O.NumThreads = Threads;
+    term::Signature Sig;
+    auto G = Bert->Build(Sig);
+    *Live = G->numLiveNodes();
+    opt::Pipeline Pipe = opt::makePipeline(Sig, opt::OptConfig::Both);
+    graph::ShapeInference SI;
+    RunResult R;
+    R.Stats = rewrite::rewriteToFixpoint(*G, Pipe.Rules, SI, O);
+    R.GraphText = graph::writeGraphText(*G);
+    *Slots = G->numNodes();
+    return R;
+  };
+  size_t N = 0, Live = 0;
+  RunResult Serial = Run(0, &N, &Live);
+  const RewriteStats &S = Serial.Stats;
+  ASSERT_GT(S.TotalFired, 10u);
+  EXPECT_EQ(S.SearchGraphCopies, 0u);
+  EXPECT_GT(S.SearchExpansions, S.SearchSteps);
+  EXPECT_LE(S.ViewConversions, N + S.FootprintNodes);
+  EXPECT_GT(S.SearchSteps * Live / 2, N + S.FootprintNodes);
+
+  size_t N2 = 0, Live2 = 0;
+  RunResult Threaded = Run(2, &N2, &Live2);
+  expectSameRewrites(Serial, Threaded, "threads=2");
+  EXPECT_EQ(Threaded.Stats.SearchExpansions, S.SearchExpansions);
+  EXPECT_EQ(Threaded.Stats.ViewConversions, S.ViewConversions);
+  EXPECT_LE(Threaded.Stats.SearchGraphCopies, 2 * Threaded.Stats.SearchSteps);
+}
+
+/// Lookahead 2 copies only the survivors of depth 1, at most BeamWidth per
+/// step (plus, at threads 4, one subject copy per worker per step), and
+/// commits the same rewrites serially and threaded.
+TEST(SearchWorkGate, LookaheadTwoCopiesOnlySurvivors) {
+  models::ModelEntry Model = models::hfSuite().front();
+  RunResult Serial = runModel(Model, beamOpts(2, 2));
+  EXPECT_GT(Serial.Stats.SearchGraphCopies, 0u);
+  EXPECT_LE(Serial.Stats.SearchGraphCopies, 2 * Serial.Stats.SearchSteps);
+  RunResult Threaded = runModel(Model, beamOpts(2, 2, 4));
+  expectSameRewrites(Serial, Threaded, "threads=4");
+  EXPECT_LE(Threaded.Stats.SearchGraphCopies,
+            (2 + 4) * Threaded.Stats.SearchSteps);
+}
+
+//===----------------------------------------------------------------------===//
 // Stress sweeps (nightly tier: suite names carry "Stress")
 //===----------------------------------------------------------------------===//
 
@@ -691,9 +893,9 @@ INSTANTIATE_TEST_SUITE_P(Threads, SearchStressDegenerate,
                            return "T" + std::to_string(Info.param);
                          });
 
-/// Real beam runs must be thread-invariant: workers only price hermetic
-/// clones, so every observable — graph, counters, governance — is pinned
-/// to the serial run.
+/// Real beam runs must be thread-invariant: workers only price candidates
+/// on private copies, so every observable — graph, counters, governance —
+/// is pinned to the serial run.
 TEST(SearchStressThreads, BeamIsThreadInvariantAcrossSeeds) {
   for (uint64_t Seed = 0; Seed != 12; ++Seed) {
     RewriteOptions Base;
@@ -784,6 +986,27 @@ TEST(SearchStressCompose, QuarantineUnderFuelStarvationIsDeterministic) {
       expectOutcomesEqual(Serial, Run(Threads),
                           stressRepro(Seed, 0, Threads, "beam fuel-starved"));
   }
+}
+
+/// 50 seeds of the stress zoo: the same speculation-vs-clone oracle as
+/// SearchSpeculation, on random DAGs with ping-pong pairs, shape guards
+/// and bound-variable returns.
+TEST(SearchStressSpeculation, RollbackPricingMatchesFreshClonesOnSeeds) {
+  size_t Compared = 0;
+  for (uint64_t Seed = 0; Seed != 50; ++Seed) {
+    SCOPED_TRACE("seed=" + std::to_string(Seed));
+    term::Signature Sig;
+    models::declareModelOps(Sig);
+    auto Lib = dsl::compileOrDie(stressRuleSource(Seed), Sig);
+    graph::Graph G(Sig);
+    buildStressGraph(Seed, G, Sig);
+    graph::ShapeInference SI;
+    SI.inferAll(G);
+    rewrite::RuleSet RS;
+    RS.addLibrary(*Lib);
+    Compared += checkSpeculationAgainstClones(G, RS, SI, 12);
+  }
+  EXPECT_GT(Compared, 100u);
 }
 
 } // namespace

@@ -25,9 +25,11 @@
 #include "server/Server.h"
 #include "StressHarness.h"
 
+#include "analysis/CriticalPairs.h"
 #include "graph/GraphIO.h"
 #include "models/Transformers.h"
 #include "plan/PlanBuilder.h"
+#include "plan/PlanSerializer.h"
 #include "plan/aot/Emitter.h"
 #include "plan/aot/Library.h"
 #include "support/FaultInjection.h"
@@ -479,6 +481,134 @@ TEST(ServerCache, HitRepliesBitIdenticalToMissReplies) {
   Hit.Cache = Miss.Cache; // the tier tag is the only allowed difference
   EXPECT_EQ(Miss, Hit);
   EXPECT_EQ(Srv.cache().stats().RawHits, 1u);
+  Srv.stop();
+}
+
+//===----------------------------------------------------------------------===//
+// Confluence certificates: computed once per cache entry
+//===----------------------------------------------------------------------===//
+
+/// A rule set whose critical pairs conflict (Trans(Trans(x)) collapses or
+/// hoists out of a MatMul), so Search=auto resolves to beam.
+const char *const kConflictRules =
+    "op Input(0);\n"
+    "op MatMul(2);\n"
+    "op Trans(1);\n"
+    "pattern TT(x) { return Trans(Trans(x)); }\n"
+    "rule tt for TT(x) { return x; }\n"
+    "pattern MMTT(x, y) { return MatMul(Trans(x), Trans(y)); }\n"
+    "rule hoist for MMTT(x, y) { return Trans(MatMul(y, x)); }\n";
+
+const char *const kConflictGraph = "a = Input() : f32[8x8]\n"
+                                   "b = Input() : f32[8x8]\n"
+                                   "ta = Trans(a) : f32[8x8]\n"
+                                   "tta = Trans(ta) : f32[8x8]\n"
+                                   "tb = Trans(b) : f32[8x8]\n"
+                                   "m = MatMul(tta, tb) : f32[8x8]\n"
+                                   "output m\n";
+
+RewriteRequest autoRequest(const std::string &Rules, const std::string &Graph,
+                           uint64_t Seq) {
+  RewriteRequest R;
+  R.Seq = Seq;
+  R.RuleSet = Rules;
+  R.GraphText = Graph;
+  R.Search = 3; // auto
+  return R;
+}
+
+/// The uncached path: the engine analyzes the rule set itself, under the
+/// request's own signature, as every auto request did before the cache
+/// kept certificates.
+void expectMatchesUncachedAuto(const RewriteReply &Rep, const char *Rules,
+                               const std::string &GraphText) {
+  term::Signature Sig;
+  auto Lib = dsl::compileOrDie(Rules, Sig);
+  DiagnosticEngine Diags;
+  std::unique_ptr<graph::Graph> G =
+      graph::parseGraphText(GraphText, Sig, Diags);
+  ASSERT_TRUE(G) << Diags.renderAll();
+  rewrite::RuleSet RS;
+  RS.addLibrary(*Lib);
+  rewrite::RewriteOptions O;
+  O.Search = rewrite::SearchStrategy::Auto;
+  rewrite::RewriteStats S =
+      rewrite::rewriteToFixpoint(*G, RS, graph::ShapeInference(), O);
+  ASSERT_EQ(Rep.Status, ServerStatus::Ok) << Rep.Message;
+  EXPECT_EQ(Rep.GraphText, graph::writeGraphText(*G));
+  EXPECT_EQ(Rep.Fired, S.TotalFired);
+  EXPECT_EQ(Rep.Passes, S.Passes);
+  EXPECT_EQ(Rep.Matches, S.TotalMatches);
+  EXPECT_EQ(Rep.EngineCode, static_cast<uint8_t>(S.Status.Code));
+}
+
+TEST(ServerConfluence, AutoRequestsAnalyzeOncePerEntry) {
+  for (const char *Rules : {kRules, kConflictRules}) {
+    const char *Graph = Rules == kRules ? kGraph : kConflictGraph;
+    Server Srv(ServerOptions{});
+    std::vector<RewriteReply> Replies;
+    for (uint64_t Seq = 1; Seq <= 5; ++Seq)
+      Replies.push_back(Srv.handle(autoRequest(Rules, Graph, Seq)));
+    EXPECT_EQ(Srv.cache().stats().ConfluenceAnalyses, 1u);
+    EXPECT_GE(Replies.front().Fired, 1u);
+    for (const RewriteReply &Rep : Replies)
+      expectMatchesUncachedAuto(Rep, Rules, Graph);
+    // Non-auto requests never ask for the certificate.
+    Srv.handle(basicRequest(9));
+    EXPECT_EQ(Srv.cache().stats().ConfluenceAnalyses, 1u);
+    Srv.stop();
+  }
+}
+
+TEST(ServerConfluence, ConcurrentAutoRequestsShareOneAnalysis) {
+  Server Srv(ServerOptions{});
+  std::vector<std::future<RewriteReply>> Futures;
+  for (uint64_t Seq = 1; Seq <= 4; ++Seq)
+    Futures.push_back(std::async(std::launch::async, [&Srv, Seq] {
+      return Srv.handle(autoRequest(kConflictRules, kConflictGraph, Seq));
+    }));
+  for (auto &F : Futures)
+    expectMatchesUncachedAuto(F.get(), kConflictRules, kConflictGraph);
+  EXPECT_EQ(Srv.cache().stats().ConfluenceAnalyses, 1u);
+  Srv.stop();
+}
+
+TEST(ServerConfluence, EmbeddedPlanCertificateSkipsTheAnalysis) {
+  term::Signature Sig;
+  auto Lib = dsl::compileOrDie(kConflictRules, Sig);
+  analysis::critical::ConfluenceReport CR =
+      analysis::critical::analyzeConfluence(*Lib, Sig);
+  ASSERT_FALSE(CR.certified());
+  DiagnosticEngine Diags;
+  std::string Plan = plan::serializePlan(*Lib, Sig, /*RulesOnly=*/true, Diags,
+                                         nullptr, &CR);
+  ASSERT_FALSE(Plan.empty()) << Diags.renderAll();
+  Server Srv(ServerOptions{});
+  for (uint64_t Seq = 1; Seq <= 3; ++Seq)
+    expectMatchesUncachedAuto(
+        Srv.handle(autoRequest(Plan, kConflictGraph, Seq)), kConflictRules,
+        kConflictGraph);
+  EXPECT_EQ(Srv.cache().stats().ConfluenceAnalyses, 0u);
+  Srv.stop();
+}
+
+TEST(ServerConfluence, GraphDeclaringANewOperatorAnalyzesPerRequest) {
+  // `Extra` is not in the rule set's Σ: the certificate computed over Σ
+  // cannot stand in, so the engine analyzes under the request's signature.
+  std::string Graph = std::string(kConflictGraph) +
+                      "x = Extra(m) : f32[8x8]\n"
+                      "output x\n";
+  Server Srv(ServerOptions{});
+  for (uint64_t Seq = 1; Seq <= 3; ++Seq)
+    expectMatchesUncachedAuto(
+        Srv.handle(autoRequest(kConflictRules, Graph, Seq)), kConflictRules,
+        Graph);
+  EXPECT_EQ(Srv.cache().stats().ConfluenceAnalyses, 0u);
+  // A Σ-only graph against the same entry still uses (and computes) it.
+  expectMatchesUncachedAuto(
+      Srv.handle(autoRequest(kConflictRules, kConflictGraph, 4)),
+      kConflictRules, kConflictGraph);
+  EXPECT_EQ(Srv.cache().stats().ConfluenceAnalyses, 1u);
   Srv.stop();
 }
 

@@ -225,19 +225,22 @@ echo "=== daemon-sweep benchmark (smoke) ==="
 ./build-ci/bench/bench_partitioning --daemon-sweep --smoke >/dev/null
 
 # Cost-directed search. The oracle/differential/fall-through suites run
-# under ASan/UBSan — applyCandidate's transactional rollback and the
-# clone-per-candidate expansion are allocation-heavy unwind paths — and
-# the beam commit loop under TSan: speculative expansion fans clones out
-# across the worker pool while the committed path stays serial, which is
-# exactly the isolation boundary a race would cross. (Tier-1 members ran
-# in ctest above; the filtered re-runs keep the search legs greppable.)
+# under ASan/UBSan — applyCandidate's transactional rollback, the undo
+# scopes' pre-images (restored into vectors whose nodes were truncated)
+# and the survivor branches are allocation-heavy unwind paths — and the
+# beam commit loop under TSan: pool workers apply and roll back on their
+# private copies while reading the run's one view and arena, and
+# concurrent auto requests race for one entry's certificate, which is
+# exactly the isolation boundary a race would cross. The threaded legs
+# run speculation at threads 2 and 4. (Tier-1 members ran in ctest above;
+# the filtered re-runs keep the search legs greppable.)
 echo "=== cost-directed search suites under ASan/UBSan ==="
 ./build-ci-asan/tests/pypm_tests \
-  --gtest_filter='Search*:CostModel.*'
+  --gtest_filter='Search*:CostModel.*:GraphUndo.*:ServerConfluence.*'
 
 echo "=== cost-directed search suites under TSan ==="
 ./build-ci-tsan/tests/pypm_tests \
-  --gtest_filter='SearchConflictTest.*:SearchStress*'
+  --gtest_filter='SearchConflictTest.*:SearchStress*:SearchSpeculation.*:SearchWorkGate.*:ServerConfluence.*'
 
 # Search sweep (smoke): the beam must strictly beat greedy modeled cost
 # on the conflict ladder and match it on the confluent zoo — the sweep

@@ -874,7 +874,7 @@ int cmdRewrite(int Argc, char **Argv) {
                  "\"footprintNodes\":%llu,"
                  "\"planCompileSeconds\":%.6f,"
                  "\"searchSteps\":%llu,\"searchCandidates\":%llu,"
-                 "\"searchExpansions\":%llu,"
+                 "\"searchExpansions\":%llu,\"searchGraphCopies\":%llu,"
                  "\"modeledCostBefore\":%.9f,\"modeledCostAfter\":%.9f}\n",
                  Stats.Status.json().c_str(),
                  static_cast<unsigned long long>(Stats.Passes),
@@ -891,6 +891,7 @@ int cmdRewrite(int Argc, char **Argv) {
                  static_cast<unsigned long long>(Stats.SearchSteps),
                  static_cast<unsigned long long>(Stats.SearchCandidates),
                  static_cast<unsigned long long>(Stats.SearchExpansions),
+                 static_cast<unsigned long long>(Stats.SearchGraphCopies),
                  Stats.ModeledCostBefore, Stats.ModeledCostAfter);
 
   std::string Text = graph::writeGraphText(*G);
