@@ -239,7 +239,7 @@ size_t Graph::removeUnreachable(std::vector<NodeId> *SweptIds) {
 }
 
 void Graph::checkpoint(UndoLog &L) {
-  assert(!Undo && "undo scopes do not nest");
+  assert(!Scope.Log && "undo scopes do not nest");
   L.NumNodes = Nodes.size();
   L.ApproxBytes = ApproxBytes;
   L.SweptClean = SweptClean;
@@ -260,24 +260,25 @@ void Graph::checkpoint(UndoLog &L) {
     L.UsersMark.resize(Nodes.size(), 0);
     L.InputsMark.resize(Nodes.size(), 0);
   }
-  Undo = &L;
+  Scope.Log = &L;
 }
 
 void Graph::saveList(NodeId N, bool Inputs) {
-  uint32_t &Mark = (Inputs ? Undo->InputsMark : Undo->UsersMark)[N];
-  if (Mark == Undo->Epoch)
+  UndoLog &L = *Scope.Log;
+  uint32_t &Mark = (Inputs ? L.InputsMark : L.UsersMark)[N];
+  if (Mark == L.Epoch)
     return;
-  Mark = Undo->Epoch;
+  Mark = L.Epoch;
   const std::vector<NodeId> &List = Inputs ? Nodes[N].Inputs : Users[N];
-  Undo->Lists.push_back({N, Inputs, static_cast<uint32_t>(Undo->Pool.size()),
-                         static_cast<uint32_t>(List.size())});
-  Undo->Pool.insert(Undo->Pool.end(), List.begin(), List.end());
+  L.Lists.push_back({N, Inputs, static_cast<uint32_t>(L.Pool.size()),
+                     static_cast<uint32_t>(List.size())});
+  L.Pool.insert(L.Pool.end(), List.begin(), List.end());
 }
 
 void Graph::rollback() {
-  assert(Undo && "rollback without checkpoint");
-  UndoLog &L = *Undo;
-  Undo = nullptr;
+  assert(Scope.Log && "rollback without checkpoint");
+  UndoLog &L = *Scope.Log;
+  Scope.Log = nullptr;
   Nodes.erase(Nodes.begin() + L.NumNodes, Nodes.end());
   Users.erase(Users.begin() + L.NumNodes, Users.end());
   for (const UndoLog::SavedList &S : L.Lists) {

@@ -128,12 +128,9 @@ class UndoLog {
 class Graph {
 public:
   explicit Graph(term::Signature &Sig) : Sig(Sig) {}
-  /// Copies the graph state. An open undo scope stays with the source: the
-  /// copy starts with none.
-  Graph(const Graph &O)
-      : Sig(O.Sig), Nodes(O.Nodes), Users(O.Users), Outputs(O.Outputs),
-        ApproxBytes(O.ApproxBytes), SweptClean(O.SweptClean),
-        SweptOutputs(O.SweptOutputs), SweptUpTo(O.SweptUpTo) {}
+  /// Copies and moves carry the graph state; an open undo scope stays with
+  /// the source (see ScopeRef).
+  Graph(const Graph &) = default;
   Graph(Graph &&) = default;
 
   term::Signature &signature() { return Sig; }
@@ -169,7 +166,7 @@ public:
   std::optional<int64_t> attr(NodeId N, Symbol Key) const;
 
   void setType(NodeId N, TensorType Type) {
-    assert((!Undo || N >= Undo->NumNodes) &&
+    assert((!Scope.Log || N >= Scope.Log->NumNodes) &&
            "an undo scope only types the nodes it appended");
     Nodes[N].Type = std::move(Type);
   }
@@ -242,7 +239,7 @@ public:
   /// sweptClean(), hence the same next commit footprint.
   void rollback();
 
-  bool inUndoScope() const { return Undo != nullptr; }
+  bool inUndoScope() const { return Scope.Log != nullptr; }
 
   /// Live nodes, inputs before users. Deterministic.
   std::vector<NodeId> topoOrder() const;
@@ -268,23 +265,30 @@ private:
   bool SweptClean = false;
   std::vector<NodeId> SweptOutputs;
   NodeId SweptUpTo = 0;
-  /// The open undo scope's journal, or null. Mutators test it once per
-  /// list they touch.
-  UndoLog *Undo = nullptr;
+  /// The open undo scope's journal (null when none). Copying or moving a
+  /// graph never carries the scope along: the copy starts with none.
+  struct ScopeRef {
+    UndoLog *Log = nullptr;
+    ScopeRef() = default;
+    ScopeRef(const ScopeRef &) noexcept {}
+    ScopeRef &operator=(const ScopeRef &) = delete;
+  };
+  /// Mutators test it once per list they touch.
+  ScopeRef Scope;
 
   void saveUsers(NodeId N) {
-    if (Undo && N < Undo->NumNodes)
+    if (Scope.Log && N < Scope.Log->NumNodes)
       saveList(N, /*Inputs=*/false);
   }
   void saveInputs(NodeId N) {
-    if (Undo && N < Undo->NumNodes)
+    if (Scope.Log && N < Scope.Log->NumNodes)
       saveList(N, /*Inputs=*/true);
   }
   void saveList(NodeId N, bool Inputs);
   void kill(NodeId N) {
     Nodes[N].Dead = true;
-    if (Undo && N < Undo->NumNodes)
-      Undo->Killed.push_back(N);
+    if (Scope.Log && N < Scope.Log->NumNodes)
+      Scope.Log->Killed.push_back(N);
   }
   void redirectUses(NodeId From, NodeId To, NodeId SkipUsersFrom);
   bool isOutput(NodeId N) const;

@@ -171,10 +171,9 @@ struct RewriteStats {
   /// fireable candidates enumerated on the committed path, and
   /// SearchExpansions the speculative apply-price-rollback evaluations.
   /// SearchGraphCopies counts the whole-graph copies speculation made: 0
-  /// serially at Lookahead 1; under NumThreads at most one per pool worker
-  /// per step (which workers receive jobs is scheduling-dependent, so this
-  /// one counter may vary between threaded runs), plus one per survivor
-  /// a Lookahead >= 2 depth expands further.
+  /// at Lookahead 1 (every candidate is priced on the subject), plus one
+  /// per survivor a Lookahead >= 2 depth expands further — the same at
+  /// any NumThreads.
   uint64_t SearchSteps = 0;
   uint64_t SearchCandidates = 0;
   uint64_t SearchExpansions = 0;

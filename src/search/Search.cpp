@@ -14,24 +14,24 @@
 //     It matches against the run's one incremental term view, which every
 //     commit's footprint keeps current.
 //
-//  2. SPECULATIVE EXPANSION (hermetic): apply each expanded candidate
-//     inside an exact undo scope (Graph::checkpoint), delta-cost it with
-//     sim::CostModel, and roll it back. Serially this runs on the subject
-//     graph itself; under NumThreads each pool worker applies and rolls
-//     back on one private copy of the subject per step. Either way the
-//     witness's variables resolve through the shared view's rooted
-//     resolution (TermView::nodeFor(t, root)) — the node a view converted
-//     cold from the candidate's root would answer — and the view and its
-//     arena are only read. BestOfN expands the first BeamWidth candidates
-//     and rolls each forward greedily; Beam expands all candidates and
-//     keeps the BeamWidth cheapest partial sequences per depth. With
-//     Lookahead >= 2 the survivors of a depth (at most BeamWidth) are
-//     materialized as private copies with their own view, and their moves
-//     are applied and rolled back on those. Results land in index-addressed
-//     slots, and ranking is a stable sort on cost — ties resolve to the
-//     canonical enumeration order. No budget charges, no fault-injector
-//     consultation: governance outcomes cannot depend on how branches were
-//     explored.
+//  2. SPECULATIVE EXPANSION (hermetic): apply each expanded candidate to
+//     the subject graph inside an exact undo scope (Graph::checkpoint),
+//     delta-cost it with sim::CostModel, and roll it back — serially, at
+//     any NumThreads: measured on the zoo, pool workers each applying on a
+//     private copy per step were slower than this. The witness's variables
+//     resolve through the view's rooted resolution (TermView::nodeFor(t,
+//     root)) — the node a view converted cold from the candidate's root
+//     would answer — and the view and its arena are only read. BestOfN
+//     expands the first BeamWidth candidates and rolls each forward
+//     greedily; Beam expands all candidates and keeps the BeamWidth
+//     cheapest partial sequences per depth. With Lookahead >= 2 the
+//     survivors of a depth (at most BeamWidth) are materialized as private
+//     copies with their own view, and their moves are applied and rolled
+//     back on those, one survivor per pool task under NumThreads. Results
+//     land in index-addressed slots, and ranking is a stable sort on cost
+//     — ties resolve to the canonical enumeration order. No budget
+//     charges, no fault-injector consultation: governance outcomes cannot
+//     depend on how branches were explored.
 //
 //  3. COMMIT (serial): fire the winning first step on the subject graph
 //     under its witness, with the fault injector armed (guard evals and RHS
@@ -58,6 +58,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <memory>
 
@@ -294,15 +295,6 @@ struct BeamState {
   uint32_t Parent = 0, Move = 0;
 };
 
-/// Per-worker scratch for threaded level-1 speculation: one private copy
-/// of the subject, taken at the first job of each step.
-struct WorkerCopy {
-  std::unique_ptr<Graph> G;
-  graph::UndoLog Undo;
-  uint64_t Step = 0; ///< the search step G was copied at
-  uint64_t Copies = 0;
-};
-
 class SearchLoop {
 public:
   SearchLoop(Graph &G, const RuleSet &Rules, const graph::ShapeInference &SI,
@@ -342,10 +334,8 @@ public:
       MachineOpts.EngineBudget = Bgt;
     }
     Faults = Opts.Faults ? Opts.Faults : FaultInjector::global();
-    if (Opts.NumThreads >= 1) {
+    if (Opts.NumThreads >= 1)
       Pool = std::make_unique<ThreadPool>(Opts.NumThreads);
-      Workers.resize(Pool->size());
-    }
   }
 
   RewriteStats run() {
@@ -387,8 +377,6 @@ public:
     }
     Stats.ModeledCostAfter = CM.graphCost(G).Seconds;
     Stats.ViewConversions = View.conversions();
-    for (const WorkerCopy &W : Workers)
-      Stats.SearchGraphCopies += W.Copies;
     Stats.TotalSeconds = nowSeconds() - Start;
     Stats.DiscoverySeconds = Stats.MatchSeconds;
     return std::move(Stats);
@@ -413,8 +401,7 @@ private:
   /// speculation only reads it.
   term::TermArena Arena;
   graph::TermView View;
-  graph::UndoLog Undo; ///< serial speculation's journal on the subject
-  std::vector<WorkerCopy> Workers;
+  graph::UndoLog Undo; ///< level-1 speculation's journal on the subject
   std::vector<uint8_t> Quarantined;
   std::vector<uint32_t> FuelExhausts;
   BudgetReason Stop = BudgetReason::None;
@@ -663,18 +650,20 @@ private:
     const size_t ExpandN =
         Beam ? L0.size() : std::min<size_t>(Opts.BeamWidth, L0.size());
 
-    // Level 1: apply, price and roll back each expanded candidate.
-    std::vector<ApplyResult> R1 = speculate(L0, W0, ExpandN);
-    Stats.SearchExpansions += ExpandN;
+    // Level 1: apply, price and roll back each expanded candidate on the
+    // subject.
     std::vector<BeamState> States;
     for (size_t K = 0; K != ExpandN; ++K) {
-      if (!R1[K].Applied)
+      ApplyResult R =
+          speculateCandidate(G, Undo, View, L0[K], W0[K], Rules, SI, CM);
+      if (!R.Applied)
         continue;
       BeamState S;
       S.FirstCand = static_cast<uint32_t>(K);
-      S.Cost = RunningCost + R1[K].CostDelta;
+      S.Cost = RunningCost + R.CostDelta;
       States.push_back(std::move(S));
     }
+    Stats.SearchExpansions += ExpandN;
     if (States.empty())
       return std::nullopt;
     prune(States);
@@ -753,65 +742,29 @@ private:
     return States.front().FirstCand;
   }
 
-  /// Level-1 expansion of the first \p N candidates. Serially every
-  /// candidate is applied to the subject graph and rolled back; a pool
-  /// worker takes one private copy of the subject at its first job of the
-  /// step and applies and rolls back there. Both read the shared view.
-  std::vector<ApplyResult> speculate(const std::vector<Candidate> &L0,
-                                     const std::vector<match::Witness> &W0,
-                                     size_t N) {
-    std::vector<ApplyResult> R(N);
-    if (!Pool || N <= 1) {
-      for (size_t K = 0; K != N; ++K)
-        R[K] = speculateCandidate(G, Undo, View, L0[K], W0[K], Rules, SI, CM);
-      return R;
-    }
-    const uint64_t Step = Stats.SearchSteps;
-    Pool->parallelFor(N, [&](size_t K, unsigned Worker) {
-      WorkerCopy &WC = Workers[Worker];
-      if (!WC.G || WC.Step != Step) {
-        WC.G = std::make_unique<Graph>(G);
-        WC.Step = Step;
-        ++WC.Copies;
-      }
-      R[K] = speculateCandidate(*WC.G, WC.Undo, View, L0[K], W0[K], Rules, SI,
-                                CM);
-    });
-    return R;
-  }
-
-  /// A branch extending \p From (whose ids \p V resolves) by \p C, or
-  /// null when the move does not apply.
+  /// A branch extending \p From (whose ids \p V resolves) by \p C. The
+  /// move was just applied and rolled back on an identical state, and
+  /// applying is deterministic, so it applies again.
   std::unique_ptr<Branch> branchOf(const Graph &From, const graph::TermView &V,
                                    const Candidate &C,
                                    const match::Witness &W) {
     auto B = std::make_unique<Branch>(From);
-    try {
-      if (fireCandidate(B->G, V, C, W, Rules, SI, CM).Applied)
-        return B;
-    } catch (...) {
-      // A throwing guard or builder: the move has no branch.
-    }
-    return nullptr;
+    [[maybe_unused]] const bool Applied =
+        fireCandidate(B->G, V, C, W, Rules, SI, CM).Applied;
+    assert(Applied && "a priced move re-applies on its branch");
+    return B;
   }
 
   /// Gives every non-terminal state of \p States the branch \p Make
-  /// builds for it (one graph copy each); a state whose move does not
-  /// re-apply turns terminal (it always re-applies: the apply is
-  /// deterministic).
+  /// builds for it (one graph copy each).
   template <typename MakeFn>
   void materialize(std::vector<BeamState> &States, MakeFn Make) {
     forEach(States.size(), [&](size_t K) {
       if (!States[K].Terminal)
         States[K].B = Make(States[K]);
     });
-    for (BeamState &S : States) {
-      if (S.Terminal)
-        continue;
-      ++Stats.SearchGraphCopies;
-      if (!S.B)
-        S.Terminal = true;
-    }
+    for (const BeamState &S : States)
+      Stats.SearchGraphCopies += !S.Terminal;
   }
 
   /// Stable sort on cost (ties keep canonical generation order), then

@@ -29,10 +29,10 @@
 /// which answers exactly what a view converted cold from the candidate's
 /// root would. Determinism at any NumThreads: the committed path
 /// (enumeration, budget charges, quarantine counts, fault sites, the
-/// commits themselves) is strictly serial in canonical candidate order;
-/// pool workers only price candidates — each on one private copy of the
-/// subject per step — and their results merge by candidate index. See
-/// DESIGN.md §"Cost-directed search".
+/// commits themselves) and level-1 pricing on the subject are strictly
+/// serial in canonical candidate order; pool workers only expand the
+/// Lookahead >= 2 survivors — each on its own copy — and their results
+/// merge by state index. See DESIGN.md §"Cost-directed search".
 ///
 //===----------------------------------------------------------------------===//
 

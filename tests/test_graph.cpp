@@ -440,6 +440,27 @@ TEST(GraphUndo, RollbackRestoresExactStateOverRandomCommits) {
   }
 }
 
+// A copy or a move is a graph of its own: neither carries the source's
+// open scope, so mutating it journals nothing into the source's log.
+TEST(GraphUndo, CopiesAndMovesStartWithoutAScope) {
+  term::Signature Sig;
+  term::OpId Un = Sig.addOp("Relu", 1), Bin = Sig.addOp("Add", 2);
+  Rng R(7);
+  Graph G(Sig);
+  buildRandomDag(R, G, Un, Bin);
+  Graph Untouched = G;
+  UndoLog Log;
+  G.checkpoint(Log);
+  Graph Copy(G);
+  Graph Moved(std::move(Copy));
+  EXPECT_FALSE(Moved.inUndoScope());
+  Moved.addNode(Un, {0});
+  Moved.removeUnreachable();
+  EXPECT_TRUE(G.inUndoScope());
+  G.rollback();
+  expectSameState(G, Untouched);
+}
+
 TEST(GraphUndo, RollbackWithNothingChangedIsANoOp) {
   term::Signature Sig;
   term::OpId Un = Sig.addOp("Relu", 1), Bin = Sig.addOp("Add", 2);

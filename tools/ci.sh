@@ -228,12 +228,13 @@ echo "=== daemon-sweep benchmark (smoke) ==="
 # under ASan/UBSan — applyCandidate's transactional rollback, the undo
 # scopes' pre-images (restored into vectors whose nodes were truncated)
 # and the survivor branches are allocation-heavy unwind paths — and the
-# beam commit loop under TSan: pool workers apply and roll back on their
-# private copies while reading the run's one view and arena, and
-# concurrent auto requests race for one entry's certificate, which is
-# exactly the isolation boundary a race would cross. The threaded legs
-# run speculation at threads 2 and 4. (Tier-1 members ran in ctest above;
-# the filtered re-runs keep the search legs greppable.)
+# beam commit loop under TSan: at Lookahead >= 2 pool workers build and
+# expand the survivors' private copies while reading the run's one view
+# and arena, and concurrent auto requests race for one entry's
+# certificate, which is exactly the isolation boundary a race would
+# cross. The threaded legs run search at threads 2 and 4. (Tier-1
+# members ran in ctest above; the filtered re-runs keep the search legs
+# greppable.)
 echo "=== cost-directed search suites under ASan/UBSan ==="
 ./build-ci-asan/tests/pypm_tests \
   --gtest_filter='Search*:CostModel.*:GraphUndo.*:ServerConfluence.*'
