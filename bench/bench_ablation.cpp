@@ -37,7 +37,7 @@ AblationRow run(const models::ModelEntry &Model, bool UseRootIndex,
   RewriteOptions Opts;
   Opts.UseRootIndex = UseRootIndex;
   Opts.MemoizeTermView = Memoize;
-  Opts.UseFastMatcher = FastMatcher;
+  Opts.Matcher = FastMatcher ? MatcherKind::Fast : MatcherKind::Machine;
   RewriteStats Stats =
       rewriteToFixpoint(*G, Pipe.Rules, graph::ShapeInference(), Opts);
   AblationRow Row;

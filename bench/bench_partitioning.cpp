@@ -17,7 +17,6 @@
 #include "pattern/Serializer.h"
 #include "plan/PlanBuilder.h"
 #include "plan/Profile.h"
-#include "plan/aot/Threaded.h"
 #include "rewrite/Partition.h"
 #include "server/Server.h"
 
@@ -185,111 +184,6 @@ int runRulesetSweep() {
   return 0;
 }
 
-/// `--aot-sweep`: the plan interpreter vs the threaded-code backend over
-/// the same rule-prefix sweep (and model zoo) as `--ruleset-sweep`. Both
-/// matchers run the SAME compiled Program via PrecompiledPlan, so the
-/// delta is pure execution-loop cost: the interpreter re-decodes operands
-/// and re-dispatches per instruction visit, the threaded tier pays
-/// decoding once per program (decode_seconds, amortized across every
-/// attempt of the run) and then jumps label-to-label. Best-of-R per
-/// (prefix, model); match counts are asserted equal as the numbers are
-/// produced — the bit-identity claim re-checked where the speedup is
-/// measured. `--smoke` shrinks the zoo and repeat count.
-int runAotSweep(bool Smoke) {
-  std::vector<models::ModelEntry> Zoo;
-  for (const auto &Suite : {models::hfSuite(), models::tvSuite()}) {
-    const size_t PerSuite = Smoke ? 3 : SIZE_MAX;
-    size_t N = 0;
-    for (const models::ModelEntry &Model : Suite)
-      if (N++ < PerSuite)
-        Zoo.push_back(Model);
-  }
-  const int Repeats = Smoke ? 3 : 7;
-
-  size_t NumEntries = 0;
-  {
-    term::Signature Sig;
-    RuleSet All;
-    for (auto &Lib :
-         {opt::compileFmha(Sig), opt::compileEpilog(Sig),
-          opt::compileCublas(Sig), opt::compileUnaryChain(Sig)})
-      All.addLibrary(*Lib);
-    NumEntries = All.entries().size();
-  }
-
-  std::printf("{\n  \"models\": %zu,\n  \"repeats\": %d,\n"
-              "  \"smoke\": %s,\n  \"aot_sweep\": [\n",
-              Zoo.size(), Repeats, Smoke ? "true" : "false");
-  for (size_t K = 1; K <= NumEntries; ++K) {
-    double PlanDiscovery = 0, ThrDiscovery = 0, DecodeSeconds = 0;
-    uint64_t Matches = 0;
-    for (const models::ModelEntry &Model : Zoo) {
-      term::Signature Sig;
-      auto G = Model.Build(Sig);
-      auto Fmha = opt::compileFmha(Sig);
-      auto Epilog = opt::compileEpilog(Sig);
-      auto Cublas = opt::compileCublas(Sig);
-      auto Unary = opt::compileUnaryChain(Sig);
-      RuleSet All;
-      for (const pattern::Library *Lib :
-           {Fmha.get(), Epilog.get(), Cublas.get(), Unary.get()})
-        All.addLibrary(*Lib);
-      RuleSet Prefix;
-      for (size_t I = 0; I != K && I != All.entries().size(); ++I)
-        Prefix.addPattern(*All.entries()[I].Pattern, All.entries()[I].Rules);
-
-      plan::Program Prog = plan::PlanBuilder::compile(Prefix, Sig);
-      auto T0 = std::chrono::steady_clock::now();
-      plan::aot::ThreadedProgram TP = plan::aot::ThreadedProgram::decode(Prog);
-      DecodeSeconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-              .count();
-
-      double BestPlan = 0, BestThr = 0;
-      uint64_t PlanM = 0, ThrM = 0;
-      for (int R = 0; R != Repeats; ++R) {
-        rewrite::RewriteOptions PO;
-        PO.Matcher = rewrite::MatcherKind::Plan;
-        PO.PrecompiledPlan = &Prog;
-        rewrite::RewriteStats PS = rewrite::matchAll(*G, Prefix, PO);
-        if (R == 0 || PS.DiscoverySeconds < BestPlan)
-          BestPlan = PS.DiscoverySeconds;
-        PlanM = PS.TotalMatches;
-
-        rewrite::RewriteOptions TO;
-        TO.Matcher = rewrite::MatcherKind::PlanThreaded;
-        TO.PrecompiledPlan = &Prog;
-        TO.PrecompiledThreaded = &TP; // decode paid once, above
-        rewrite::RewriteStats TS = rewrite::matchAll(*G, Prefix, TO);
-        if (R == 0 || TS.DiscoverySeconds < BestThr)
-          BestThr = TS.DiscoverySeconds;
-        ThrM = TS.TotalMatches;
-      }
-      if (PlanM != ThrM) {
-        std::fprintf(stderr,
-                     "aot-sweep: match divergence at rules=%zu model=%s "
-                     "(plan %llu vs threaded %llu)\n",
-                     K, Model.Name.c_str(), (unsigned long long)PlanM,
-                     (unsigned long long)ThrM);
-        return 1;
-      }
-      PlanDiscovery += BestPlan;
-      ThrDiscovery += BestThr;
-      Matches += PlanM;
-    }
-    std::printf("    {\"rules\": %zu, \"matches\": %llu, "
-                "\"plan_discovery_seconds\": %.6f, "
-                "\"threaded_discovery_seconds\": %.6f, "
-                "\"decode_seconds\": %.6f, \"speedup\": %.3f}%s\n",
-                K, (unsigned long long)Matches, PlanDiscovery, ThrDiscovery,
-                DecodeSeconds,
-                ThrDiscovery > 0 ? PlanDiscovery / ThrDiscovery : 0.0,
-                K == NumEntries ? "" : ",");
-  }
-  std::printf("  ]\n}\n");
-  return 0;
-}
-
 /// `--profiled-sweep`: cold plan layout (compile order) vs profile-guided
 /// layout, over the same rule-prefix sweep as `--ruleset-sweep`. Per
 /// prefix and model the plan is compiled once, a serial matchAll records
@@ -397,188 +291,6 @@ int runProfiledSweep() {
                 ProfDiscovery > 0 ? ColdDiscovery / ProfDiscovery : 0.0,
                 K == NumEntries ? "" : ",");
     (void)ProfMatches;
-  }
-  std::printf("  ]\n}\n");
-  return 0;
-}
-
-/// `--incremental-sweep`: the two amortization modes against their cold
-/// baselines (BENCH_incremental_sweep.json). Leg one re-runs the full
-/// rewrite pipeline to fixpoint per zoo model — a commit-heavy workload
-/// where every pass after a commit re-discovers the whole graph — with
-/// RewriteOptions::Incremental on and off; the memo replays fruitless
-/// visits outside the dirty region, so the incremental discovery time
-/// must come in under the full rescan. Leg two repeats the
-/// `--ruleset-sweep` rule-prefix ladder with the plan matcher against
-/// itself, RewriteOptions::Batch on vs off: one frontier sweep computing
-/// every candidate mask (plus reused per-pass matchers) vs the per-root
-/// tree walk. Both legs time DiscoverySeconds best-of-R on fresh graphs
-/// and assert the modes' match/fire counts against their baselines as
-/// they are timed — the differential suite's bit-identity claim,
-/// re-checked where the numbers come from. `--smoke` shrinks the zoo,
-/// the ladder, and the repeat count to a CI-sized run.
-int runIncrementalSweep(bool Smoke) {
-  std::vector<models::ModelEntry> Zoo;
-  {
-    auto Hf = models::hfSuite();
-    auto Tv = models::tvSuite();
-    const size_t PerSuite = Smoke ? 3 : SIZE_MAX;
-    for (size_t I = 0; I != Hf.size() && I != PerSuite; ++I)
-      Zoo.push_back(Hf[I]);
-    for (size_t I = 0; I != Tv.size() && I != PerSuite; ++I)
-      Zoo.push_back(Tv[I]);
-  }
-  const int Repeats = Smoke ? 3 : 9;
-
-  std::printf("{\n  \"models\": %zu,\n  \"repeats\": %d,\n"
-              "  \"smoke\": %s,\n",
-              Zoo.size(), Repeats, Smoke ? "true" : "false");
-
-  // Leg one: commit-heavy fixpoint, full rescan vs incremental. The
-  // pipeline additionally loads the μ-recursive unary-chain library, and
-  // the run uses RootsFirst traversal: rewrites fire at the roots first,
-  // so operand-side opportunities they expose land one pass later and
-  // the fixpoint takes many passes — each of which the baseline re-scans
-  // in full while the incremental engine re-discovers only the dirty
-  // region and replays everything else from the memo. The leg runs the
-  // fast matcher deliberately: it is the engine whose rescan passes pay
-  // a real match attempt per candidate node, i.e. the work the memo
-  // elides. (Under the plan matcher the discrimination tree already
-  // prunes clean nodes to a near-free mask lookup, so there a memo
-  // replay roughly breaks even with the rescan it replaces — the plan
-  // side's amortization win is leg two's batching.)
-  auto RunFixpoint = [](const models::ModelEntry &Model,
-                        const rewrite::RewriteOptions &Opts) {
-    term::Signature Sig;
-    auto G = Model.Build(Sig);
-    opt::Pipeline Pipe = opt::makePipeline(Sig, opt::OptConfig::Both);
-    Pipe.Libs.push_back(opt::compileUnaryChain(Sig));
-    Pipe.Rules.addLibrary(*Pipe.Libs.back());
-    return rewrite::rewriteToFixpoint(*G, Pipe.Rules,
-                                      graph::ShapeInference(), Opts);
-  };
-  std::printf("  \"incremental\": [\n");
-  double FullSum = 0, IncSum = 0;
-  for (size_t MI = 0; MI != Zoo.size(); ++MI) {
-    const models::ModelEntry &Model = Zoo[MI];
-    rewrite::RewriteOptions Full;
-    Full.Matcher = rewrite::MatcherKind::Fast;
-    Full.Order = rewrite::Traversal::RootsFirst;
-    rewrite::RewriteOptions Inc = Full;
-    Inc.Incremental = true;
-
-    double BestFull = 0, BestInc = 0;
-    uint64_t Fired = 0, Passes = 0, MemoHits = 0;
-    for (int Rep = 0; Rep != Repeats; ++Rep) {
-      rewrite::RewriteStats F = RunFixpoint(Model, Full);
-      rewrite::RewriteStats N = RunFixpoint(Model, Inc);
-      if (F.TotalFired != N.TotalFired || F.Passes != N.Passes) {
-        std::fprintf(stderr,
-                     "incremental-sweep: divergence on %s (fired %llu vs "
-                     "%llu, passes %llu vs %llu)\n",
-                     Model.Name.c_str(), (unsigned long long)F.TotalFired,
-                     (unsigned long long)N.TotalFired,
-                     (unsigned long long)F.Passes,
-                     (unsigned long long)N.Passes);
-        return 1;
-      }
-      if (Rep == 0 || F.DiscoverySeconds < BestFull)
-        BestFull = F.DiscoverySeconds;
-      if (Rep == 0 || N.DiscoverySeconds < BestInc)
-        BestInc = N.DiscoverySeconds;
-      Fired = N.TotalFired;
-      Passes = N.Passes;
-      MemoHits = N.MemoHits;
-    }
-    FullSum += BestFull;
-    IncSum += BestInc;
-    std::printf("    {\"model\": \"%s\", \"passes\": %llu, \"fired\": %llu, "
-                "\"memo_hits\": %llu, \"full_discovery_seconds\": %.6f, "
-                "\"incremental_discovery_seconds\": %.6f, "
-                "\"speedup\": %.3f}%s\n",
-                Model.Name.c_str(), (unsigned long long)Passes,
-                (unsigned long long)Fired, (unsigned long long)MemoHits,
-                BestFull, BestInc, BestInc > 0 ? BestFull / BestInc : 0.0,
-                MI + 1 == Zoo.size() ? "" : ",");
-  }
-  std::printf("  ],\n  \"incremental_total\": {"
-              "\"full_discovery_seconds\": %.6f, "
-              "\"incremental_discovery_seconds\": %.6f, "
-              "\"speedup\": %.3f},\n",
-              FullSum, IncSum, IncSum > 0 ? FullSum / IncSum : 0.0);
-
-  // Leg two: batched vs per-root plan discovery across the rule ladder.
-  size_t NumEntries = 0;
-  {
-    term::Signature Sig;
-    RuleSet All;
-    for (auto &Lib :
-         {opt::compileFmha(Sig), opt::compileEpilog(Sig),
-          opt::compileCublas(Sig), opt::compileUnaryChain(Sig)})
-      All.addLibrary(*Lib);
-    NumEntries = All.entries().size();
-  }
-
-  std::printf("  \"batched_sweep\": [\n");
-  for (size_t K = 1; K <= NumEntries; ++K) {
-    double PerRoot = 0, Batched = 0;
-    uint64_t Matches = 0, BatchedNodes = 0;
-    for (const models::ModelEntry &Model : Zoo) {
-      term::Signature Sig;
-      auto G = Model.Build(Sig);
-      auto Fmha = opt::compileFmha(Sig);
-      auto Epilog = opt::compileEpilog(Sig);
-      auto Cublas = opt::compileCublas(Sig);
-      auto Unary = opt::compileUnaryChain(Sig);
-      RuleSet All;
-      for (const pattern::Library *Lib :
-           {Fmha.get(), Epilog.get(), Cublas.get(), Unary.get()})
-        All.addLibrary(*Lib);
-      RuleSet Prefix;
-      for (size_t I = 0; I != K && I != All.entries().size(); ++I)
-        Prefix.addPattern(*All.entries()[I].Pattern, All.entries()[I].Rules);
-
-      plan::Program Prog = plan::PlanBuilder::compile(Prefix, Sig);
-      rewrite::RewriteOptions PerRootOpts;
-      PerRootOpts.Matcher = rewrite::MatcherKind::Plan;
-      PerRootOpts.PrecompiledPlan = &Prog;
-      rewrite::RewriteOptions BatchOpts = PerRootOpts;
-      BatchOpts.Batch = true;
-
-      double BestPer = 0, BestBat = 0;
-      uint64_t MPer = 0, MBat = 0, BN = 0;
-      for (int Rep = 0; Rep != Repeats; ++Rep) {
-        rewrite::RewriteStats PS = rewrite::matchAll(*G, Prefix, PerRootOpts);
-        if (Rep == 0 || PS.DiscoverySeconds < BestPer)
-          BestPer = PS.DiscoverySeconds;
-        MPer = PS.TotalMatches;
-        rewrite::RewriteStats BS = rewrite::matchAll(*G, Prefix, BatchOpts);
-        if (Rep == 0 || BS.DiscoverySeconds < BestBat)
-          BestBat = BS.DiscoverySeconds;
-        MBat = BS.TotalMatches;
-        BN = BS.BatchedNodes;
-      }
-      if (MPer != MBat) {
-        std::fprintf(stderr,
-                     "incremental-sweep: batch divergence (rules=%zu, "
-                     "model=%s, per-root=%llu, batched=%llu)\n",
-                     K, Model.Name.c_str(), (unsigned long long)MPer,
-                     (unsigned long long)MBat);
-        return 1;
-      }
-      PerRoot += BestPer;
-      Batched += BestBat;
-      Matches += MBat;
-      BatchedNodes += BN;
-    }
-    std::printf("    {\"rules\": %zu, \"matches\": %llu, "
-                "\"batched_nodes\": %llu, "
-                "\"perroot_discovery_seconds\": %.6f, "
-                "\"batched_discovery_seconds\": %.6f, \"speedup\": %.3f}%s\n",
-                K, (unsigned long long)Matches,
-                (unsigned long long)BatchedNodes, PerRoot, Batched,
-                Batched > 0 ? PerRoot / Batched : 0.0,
-                K == NumEntries ? "" : ",");
   }
   std::printf("  ]\n}\n");
   return 0;
@@ -1140,12 +852,8 @@ int main(int argc, char **argv) {
       return runThreadsSweep();
     if (std::string_view(argv[I]) == "--ruleset-sweep")
       return runRulesetSweep();
-    if (std::string_view(argv[I]) == "--aot-sweep")
-      return runAotSweep(Smoke);
     if (std::string_view(argv[I]) == "--profiled-sweep")
       return runProfiledSweep();
-    if (std::string_view(argv[I]) == "--incremental-sweep")
-      return runIncrementalSweep(Smoke);
     if (std::string_view(argv[I]) == "--daemon-sweep")
       return runDaemonSweep(Smoke);
     if (std::string_view(argv[I]) == "--search-sweep")

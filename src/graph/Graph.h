@@ -72,9 +72,8 @@ struct Node {
 };
 
 /// What one committed rewrite touched: the single input every cache
-/// downstream of a fire invalidates from (term view, incremental memo,
-/// batch rows, parallel-commit dirty bits, search cost deltas). See
-/// DESIGN.md §"Commit footprint".
+/// downstream of a fire invalidates from (term view, parallel-commit dirty
+/// bits, search cost deltas). See DESIGN.md §"Commit footprint".
 struct CommitFootprint {
   /// The matched root whose uses were redirected.
   NodeId Root = InvalidNode;

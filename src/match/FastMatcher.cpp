@@ -253,16 +253,6 @@ MachineStatus FastMatcher::stepMatch(const Pattern *P, term::TermRef T) {
   return MachineStatus::Failure;
 }
 
-MatchResult FastMatcher::matchOne(const Pattern *P, term::TermRef T) {
-  MachineStatus S = match(P, T);
-  MatchResult R;
-  R.Status = S;
-  if (S == MachineStatus::Success)
-    R.W = witness();
-  R.Stats = stats();
-  return R;
-}
-
 MatchResult FastMatcher::run(const Pattern *P, term::TermRef T,
                              const term::TermArena &Arena,
                              Machine::Options Opts) {

@@ -53,15 +53,6 @@ public:
   /// reference machine).
   MachineStatus resume();
 
-  /// Batch-parity mode: one attempt on a *reused* matcher instance, as
-  /// run() but without constructing a fresh one. Mirrors
-  /// plan::Interpreter::matchOne so batched engine runs stay three-way
-  /// differential-testable across matcher kinds. Per-attempt state resets;
-  /// the persistent Scratch arena and first-unfold μ memo change no
-  /// counter, status, or visible binding — a memo hit still pays its
-  /// unfold step — so results are bit-identical to a fresh run()'s.
-  MatchResult matchOne(const pattern::Pattern *P, term::TermRef T);
-
   MachineStatus status() const { return Status; }
   /// The current witness, materialized as value-semantic substitutions.
   Witness witness() const;

@@ -1,10 +1,10 @@
-//===- plan/ExecState.cpp - Shared mutable state for plan executors -------===//
+//===- plan/ExecState.cpp - Mutable state of the plan interpreter ---------===//
 //
 // stepMatchDyn shadows FastMatcher::stepMatch; when editing, keep
-// match/FastMatcher.cpp open next to this file. The differential suites
-// (tests/test_matchplan.cpp, tests/test_aot.cpp) pin every executor that
-// runs through this state to identical statuses, witnesses, resume()
-// streams, and step counters.
+// match/FastMatcher.cpp open next to this file. The differential suite
+// (tests/test_matchplan.cpp) pins the interpreter that runs through this
+// state to identical statuses, witnesses, resume() streams, and step
+// counters.
 //
 //===----------------------------------------------------------------------===//
 

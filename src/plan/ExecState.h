@@ -1,30 +1,17 @@
-//===- plan/ExecState.h - Shared mutable state for plan executors -*- C++ -*-===//
+//===- plan/ExecState.h - Mutable state of the plan interpreter -*- C++ -*-===//
 ///
 /// \file
-/// The one mutable-state block shared by every plan::Program executor —
-/// the bytecode Interpreter, the threaded-code backend, and the
-/// dlopen'ed emitted backend (src/plan/aot/). All three run FastMatcher's
-/// trail/choice-point machinery over the same continuation cells; hoisting
-/// that state (and its per-attempt reset) into one struct means the three
-/// executors cannot drift on scratch-state semantics: a reused executor's
-/// footprint, the μ-unfold memo lifetime, and the trail-unwind order are
-/// defined here exactly once.
-///
-/// What resetAttempt() clears is the per-attempt state (cells, θ/φ,
-/// trails, choice points, counters, μ fuel). What it deliberately keeps —
-/// the Scratch pattern arena, the μ-unfold memo keyed on arena-interned μ
-/// nodes, and container capacity — is exactly the state that cannot change
-/// an outcome: a memo hit still pays its unfold step and μ-budget
-/// decrement, it only skips re-cloning the body
-/// (tests/test_incremental.cpp pins the reuse parity per attempt;
-/// tests/test_aot.cpp pins the three executors to each other).
+/// The mutable-state block of plan::Interpreter: FastMatcher's
+/// trail/choice-point machinery over compiled continuation cells, with its
+/// per-attempt reset. resetAttempt() clears the per-attempt state (cells,
+/// θ/φ, trails, choice points, counters, μ fuel); the Scratch pattern
+/// arena and the μ-unfold memo live as long as the interpreter.
 ///
 /// The cell-dispatch loop lives here too (runExecLoop): step counting, the
-/// 1024-step budget poll, and the ActionKind dispatch are one function
-/// templated over the compiled-Match step — the only part that differs per
-/// backend. The dynamic μ-escape step (stepMatchDyn, verbatim
-/// FastMatcher::stepMatch) is shared outright: μ-unfold clones exist only
-/// at run time, so every backend matches them over the pattern AST.
+/// 1024-step budget poll, and the ActionKind dispatch, templated over the
+/// compiled-Match step the interpreter supplies. The dynamic μ-escape step
+/// (stepMatchDyn, verbatim FastMatcher::stepMatch) matches μ-unfold
+/// clones, which exist only at run time, over the pattern AST.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,10 +63,7 @@ struct ExecState {
   std::unordered_map<const pattern::Pattern *, const pattern::Pattern *>
       UnfoldMemo;
 
-  /// The per-attempt reset every executor shares. Cells from a previous
-  /// attempt are unreachable once Cont and Choices reset; dropping them
-  /// keeps a reused executor's footprint proportional to one attempt, not
-  /// the whole batch. Leaves the executor Running with an empty
+  /// The per-attempt reset. Leaves the executor Running with an empty
   /// continuation — the caller seeds Cont next.
   void resetAttempt(uint64_t MaxMuUnfolds) {
     Cells.clear();

@@ -3,9 +3,9 @@
 // stepExec shadows the corresponding FastMatcher step over the compiled
 // instruction table; when editing, keep match/FastMatcher.cpp (and
 // plan/ExecState.cpp, which owns the dynamic escape) open next to this
-// file. The differential suites pin this executor, both AOT backends, the
-// FastMatcher, and the reference Machine to identical statuses, witnesses,
-// resume() streams, and step counters.
+// file. The differential suites pin this executor, the FastMatcher, and the
+// reference Machine to identical statuses, witnesses, resume() streams, and
+// step counters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -128,16 +128,6 @@ MachineStatus Interpreter::stepExec(uint32_t PC, term::TermRef T) {
   }
   assert(false && "unknown opcode");
   return MachineStatus::Failure;
-}
-
-MatchResult Interpreter::matchOne(size_t EntryIdx, term::TermRef T) {
-  MachineStatus S = matchEntry(EntryIdx, T);
-  MatchResult R;
-  R.Status = S;
-  if (S == MachineStatus::Success)
-    R.W = witness();
-  R.Stats = stats();
-  return R;
 }
 
 MatchResult Interpreter::run(const Program &Prog, size_t EntryIdx,

@@ -11,16 +11,13 @@
 /// (an "escape" back to the uncompiled representation).
 ///
 /// All mutable state — and the cell-dispatch loop itself — lives in
-/// plan::ExecState, shared with the AOT backends (src/plan/aot/) so the
-/// executors cannot drift on scratch-state semantics; this class supplies
-/// only the compiled-Match step (stepExec, a switch over the instruction
-/// table).
+/// plan::ExecState; this class supplies only the compiled-Match step
+/// (stepExec, a switch over the instruction table).
 ///
 /// The step sequence — and with it every counter in MachineStats, the
 /// first witness, and the whole resume() stream — is bit-for-bit
 /// FastMatcher's, which is bit-for-bit the reference Machine's. The
-/// differential suites (tests/test_matchplan.cpp, tests/test_aot.cpp) pin
-/// them all together.
+/// differential suite (tests/test_matchplan.cpp) pins them all together.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,18 +46,6 @@ public:
   /// Matches entry \p EntryIdx of the program against \p T from the empty
   /// substitution; returns the terminal status.
   match::MachineStatus matchEntry(size_t EntryIdx, term::TermRef T);
-
-  /// Batch mode: one attempt on a *reused* interpreter, as run() but
-  /// without constructing a fresh instance. Per-attempt state resets
-  /// (ExecState::resetAttempt); what persists — the Scratch pattern arena,
-  /// the μ-unfold memo keyed on the arena-interned μ nodes, and container
-  /// capacity — is exactly the state that cannot change an outcome: a memo
-  /// hit still pays its unfold step and μ-budget decrement, it only skips
-  /// re-cloning the body. Every counter, status, and visible binding is
-  /// therefore bit-identical to a fresh run()'s; only allocation and
-  /// unfold construction are amortized across the batch
-  /// (tests/test_incremental.cpp pins the parity per attempt).
-  match::MatchResult matchOne(size_t EntryIdx, term::TermRef T);
 
   /// Continues the search past the previous success.
   match::MachineStatus resume();

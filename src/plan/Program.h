@@ -180,33 +180,6 @@ struct Program {
   void candidates(term::TermRef T, std::vector<uint8_t> &Mask,
                   TraversalTrace *Trace = nullptr) const;
 
-  /// Batched prefilter: one cache-friendly frontier sweep of the
-  /// discrimination tree computes candidates() for *every* root in
-  /// \p Roots at once. Instead of one root-at-a-time depth-first walk per
-  /// subject, the sweep keeps a struct-of-arrays work list — for each tree
-  /// node, the roots whose traversal reached it — and processes tree nodes
-  /// in frontier order, so each node's accept list, groups, and edge keys
-  /// are touched once per *batch* rather than once per root. Every edge has
-  /// a unique parent, so each tree node is processed at most once per
-  /// sweep.
-  ///
-  /// \p Masks is resized to Roots.size() * numEntries(); row I (stride
-  /// numEntries()) is byte-for-byte what candidates(Roots[I]) would
-  /// produce — the survival tests are identical, only their schedule
-  /// differs. \p Traces, when non-null, is resized alongside and receives
-  /// per-root traces covering the same group/edge *sets* as the per-root
-  /// walk (frontier order, not depth-first order — Profile::addTrace sums
-  /// counters, so recorded profiles are identical either way).
-  void batchCandidates(const graph::Graph &G,
-                       std::span<const graph::NodeId> Roots,
-                       std::vector<uint8_t> &Masks,
-                       std::vector<TraversalTrace> *Traces = nullptr) const;
-
-  /// Term-batch overload (tests and term-level batch matching).
-  void batchCandidates(std::span<const term::TermRef> Roots,
-                       std::vector<uint8_t> &Masks,
-                       std::vector<TraversalTrace> *Traces = nullptr) const;
-
   ProgramInfo info() const;
 
   /// Human-readable dump of the discrimination tree and the per-entry

@@ -39,8 +39,6 @@
 #include "plan/Interpreter.h"
 #include "plan/PlanBuilder.h"
 #include "plan/Profile.h"
-#include "plan/aot/Library.h"
-#include "plan/aot/Threaded.h"
 #include "search/Search.h"
 #include "support/FaultInjection.h"
 #include "support/ThreadPool.h"
@@ -191,26 +189,6 @@ struct NodeDiscovery {
   bool Traced = false;
 };
 
-/// Reused matcher instances for batch mode (RewriteOptions::Batch), one
-/// set per term arena: the serial/commit path owns one against the
-/// engine arena, each discovery worker owns one against its private
-/// arena. Reuse amortizes matcher construction — the scratch pattern
-/// arena, the μ-unfold memo, container capacity — across every attempt
-/// issued against that arena; see Interpreter::matchOne and
-/// FastMatcher::matchOne for why reuse is observationally identical to
-/// fresh construction (every counter, status, and visible binding
-/// matches). The reference Machine is deliberately left un-batched: it
-/// is the semantic yardstick, not a production path.
-struct BatchMatchers {
-  std::unique_ptr<plan::Interpreter> Interp;
-  std::unique_ptr<match::FastMatcher> Fast;
-  /// The AOT tiers always reuse their executor (construction amortization
-  /// is part of their speedup); matchOne reuse is pinned observationally
-  /// identical to fresh construction by the test_aot differentials.
-  std::unique_ptr<plan::aot::ThreadedExec> Thr;
-  std::unique_ptr<plan::aot::SoExec> So;
-};
-
 class Engine {
 public:
   Engine(Graph &G, const RuleSet &Rules, const graph::ShapeInference *SI,
@@ -230,7 +208,7 @@ public:
           if (entryName(Rules.entries()[I]) == Name)
             Quarantined[I] = 1;
     MK = Opts.matcher();
-    if (planFamily(MK)) {
+    if (MK == MatcherKind::Plan) {
       if (Opts.PrecompiledPlan && planMatchesRules(*Opts.PrecompiledPlan)) {
         Plan = Opts.PrecompiledPlan;
       } else {
@@ -241,38 +219,7 @@ public:
         Plan = OwnedPlan.get();
       }
     }
-    if (MK == MatcherKind::PlanThreaded) {
-      // One pre-decode per run (operands resolved, dispatch labels primed)
-      // unless the caller handed in a stream decoded from this very plan —
-      // then even the per-run decode disappears. Every attempt (fresh or
-      // reused executor) runs the same stream either way.
-      if (Opts.PrecompiledThreaded &&
-          &Opts.PrecompiledThreaded->prog() == Plan) {
-        Threaded = Opts.PrecompiledThreaded;
-      } else {
-        OwnedThreaded = std::make_unique<plan::aot::ThreadedProgram>(
-            plan::aot::ThreadedProgram::decode(*Plan));
-        Threaded = OwnedThreaded.get();
-      }
-    } else if (MK == MatcherKind::PlanAot) {
-      // The library was validated by whoever loaded it, but against *their*
-      // plan; this run's plan may be a fresh compile. Re-check, and demote
-      // to the interpreter rather than run a mismatched artifact.
-      if (Opts.AotLib && Opts.AotLib->matches(*Plan)) {
-        AotLib = Opts.AotLib;
-      } else {
-        if (Opts.Diags)
-          Opts.Diags->warning(
-              {}, "aot.fallback",
-              Opts.AotLib
-                  ? "emitted-plan library does not match this run's plan "
-                    "(stale artifact?); falling back to the interpreter"
-                  : "matcher plan-aot selected but no emitted-plan library "
-                    "was supplied; falling back to the interpreter");
-        MK = MatcherKind::Plan;
-      }
-    }
-    if (planFamily(MK) && Opts.PlanProfile) {
+    if (MK == MatcherKind::Plan && Opts.PlanProfile) {
       // Arm committed-order profile recording. A populated profile that was
       // recorded against a different plan (stale ruleset) must not be mixed
       // in: skip recording, warn, and run unprofiled — outcomes are
@@ -292,24 +239,6 @@ public:
       Opts.MachineOpts.EngineBudget = Bgt;
     }
     Faults = Opts.Faults ? Opts.Faults : FaultInjector::global();
-    // The batched frontier sweep replaces per-node discrimination-tree
-    // walks; it only exists where those walks exist. Matcher *reuse* (the
-    // other half of batch mode) keys off Opts.Batch alone.
-    BatchActive = Opts.Batch && planFamily(MK) && Opts.UseRootIndex;
-    // The serial path's reused AOT executors are constructed here, not
-    // lazily at the first attempt: construction is run setup, and leaving
-    // it lazy would bill the first *timed* attempt for it (visible as a
-    // fixed per-run cost in DiscoverySeconds on small graphs). Placed
-    // after the budget wiring above — executors copy MachineOpts, so an
-    // earlier construction would silently drop the budget poll.
-    if (Opts.NumThreads == 0) {
-      if (MK == MatcherKind::PlanThreaded)
-        SerialBatch.Thr = std::make_unique<plan::aot::ThreadedExec>(
-            *Threaded, Arena, Opts.MachineOpts);
-      else if (MK == MatcherKind::PlanAot && AotLib)
-        SerialBatch.So = std::make_unique<plan::aot::SoExec>(
-            *Plan, *AotLib, Arena, Opts.MachineOpts);
-    }
     return Opts.NumThreads == 0 ? runSerial(RewriteMode)
                                 : runParallel(RewriteMode);
   }
@@ -323,7 +252,6 @@ private:
     graph::TermView View;
     std::vector<PatternStats> Entry;
     std::vector<uint8_t> Cand; ///< per-node plan candidate mask scratch
-    BatchMatchers Batch;       ///< reused matchers (batch mode only)
 
     WorkerCtx(const Graph &G, size_t NumEntries)
         : Arena(G.signature()), View(G, Arena), Entry(NumEntries) {}
@@ -342,15 +270,6 @@ private:
   /// The compiled MatchPlan when MK == Plan (borrowed or freshly built).
   const plan::Program *Plan = nullptr;
   std::unique_ptr<plan::Program> OwnedPlan;
-  /// The pre-decoded threaded stream when MK == PlanThreaded — borrowed
-  /// from Opts.PrecompiledThreaded when that decodes this run's plan,
-  /// otherwise decoded once per run into OwnedThreaded. Executors borrow
-  /// it either way.
-  const plan::aot::ThreadedProgram *Threaded = nullptr;
-  std::unique_ptr<plan::aot::ThreadedProgram> OwnedThreaded;
-  /// The validated emitted-plan library when MK == PlanAot (borrowed from
-  /// Opts.AotLib after the fingerprint re-check in run()).
-  const plan::aot::PlanLibrary *AotLib = nullptr;
   /// Armed (non-null) when Opts.PlanProfile bound to the run's plan. All
   /// counter updates happen in committed order — serial visits, commit-time
   /// trace merges, and commit-time replays — never on worker threads, so
@@ -371,39 +290,6 @@ private:
   std::vector<uint32_t> FuelExhausts;
   /// Set once when the run must halt; sticky. None while running.
   BudgetReason Stop = BudgetReason::None;
-
-  // --- Incremental re-discovery (RewriteOptions::Incremental) ---------
-  /// Cross-pass match memo, indexed by node id: the attempt sequence of
-  /// the node's last *fruitless* clean visit. Valid entries are replayed
-  /// (counters copied, budget charged, quarantine advanced — exactly the
-  /// parallel commit's clean-node replay) instead of re-running matchers.
-  /// Invalidation is the dirty region of each fire: markUsersDirty clears
-  /// the bit for every transitive user of the fired node, whose tree
-  /// unrollings are the only ones the fire can change.
-  std::vector<NodeDiscovery> Memo;
-  std::vector<uint8_t> MemoValid;
-  /// Recording target while a visitAndRecord live visit is running (null
-  /// otherwise); RecDead poisons the record the moment the visit does
-  /// anything a replay could not reproduce (guard evaluation, rule fire,
-  /// fault absorption).
-  NodeDiscovery *Rec = nullptr;
-  bool RecDead = false;
-
-  // --- Batched discovery (RewriteOptions::Batch) ----------------------
-  /// True when the per-pass frontier sweep is on (Batch + Plan matcher +
-  /// root index). Masks are per pass: BatchRoots lists the swept nodes,
-  /// BatchRows maps node id -> row (UINT32_MAX when unswept), BatchMasks
-  /// holds one candidates() row per root (stride = numEntries()), and
-  /// BatchRowValid drops rows whose node's unrolling a mid-pass fire
-  /// changed (they fall back to a live per-node walk).
-  bool BatchActive = false;
-  std::vector<NodeId> BatchRoots;
-  std::vector<uint32_t> BatchRows;
-  std::vector<uint8_t> BatchMasks;
-  std::vector<uint8_t> BatchRowValid;
-  std::vector<plan::TraversalTrace> BatchTraces;
-  /// Reused matchers for the serial visit / commit path (batch mode).
-  BatchMatchers SerialBatch;
 
   bool halted() const { return Stop != BudgetReason::None; }
 
@@ -451,28 +337,6 @@ private:
     BudgetReason R = Bgt->exceededCeiling();
     if (R != BudgetReason::None)
       halt(R);
-  }
-
-  /// Memo accounting, committed order only: a hit is a node replayed from
-  /// the memo, a miss is any other committed node while incremental mode
-  /// is on. Mirrored into the budget so governed runs report the matcher
-  /// work the memo replaced next to the work that remained.
-  void noteMemoHit() {
-    ++Stats.MemoHits;
-    if (Bgt)
-      Bgt->chargeMemoHit();
-  }
-  void noteMemoMiss() {
-    ++Stats.MemoMisses;
-    if (Bgt)
-      Bgt->chargeMemoMiss();
-  }
-
-  void ensureMemoSize() {
-    if (Memo.size() < G.numNodes()) {
-      Memo.resize(G.numNodes());
-      MemoValid.resize(G.numNodes(), 0);
-    }
   }
 
   void quarantineEntry(size_t I, const char *Why) {
@@ -537,7 +401,6 @@ private:
     while (Changed && Stats.Passes < Opts.MaxPasses && !halted()) {
       Changed = false;
       ++Stats.Passes;
-      prepareBatchMasks();
       if (Opts.Order == Traversal::OperandsFirst) {
         // Ascending ids visit operands before users; replacement nodes
         // appended mid-pass are picked up within the same pass.
@@ -547,7 +410,7 @@ private:
           if (shouldStop())
             break;
           ++Stats.NodesVisited;
-          if (processSerialNode(N, RewriteMode))
+          if (visitNode(N, RewriteMode))
             Changed = true;
         }
       } else {
@@ -562,7 +425,7 @@ private:
           if (shouldStop())
             break;
           ++Stats.NodesVisited;
-          if (processSerialNode(N, RewriteMode))
+          if (visitNode(N, RewriteMode))
             Changed = true;
         }
       }
@@ -570,20 +433,6 @@ private:
         break; // match-only: a single traversal
     }
     return finish(Start);
-  }
-
-  /// Serial per-node dispatch: replay the cross-pass memo when it is
-  /// valid, otherwise visit live (recording a fresh memo in incremental
-  /// mode). With incremental off this is exactly visitNode.
-  bool processSerialNode(NodeId N, bool RewriteMode) {
-    if (!Opts.Incremental)
-      return visitNode(N, RewriteMode);
-    if (N < MemoValid.size() && MemoValid[N]) {
-      noteMemoHit();
-      return replayMemo(N, RewriteMode);
-    }
-    noteMemoMiss();
-    return visitAndRecord(N, RewriteMode);
   }
 
   RewriteStats runParallel(bool RewriteMode) {
@@ -603,28 +452,17 @@ private:
       // may grow the live set mid-pass).
       const size_t SnapshotSize = G.numNodes();
       QSnapshot = Quarantined;
-      prepareBatchMasks();
-      // Memo-valid nodes need no speculative discovery: the commit phase
-      // replays their recorded attempts directly, so incremental mode
-      // drops them from the work list (the discovery fan-out shrinks to
-      // the dirty region plus new nodes).
-      auto NeedsDiscovery = [&](NodeId N) {
-        return !(Opts.Incremental && N < MemoValid.size() && MemoValid[N]);
-      };
       std::vector<NodeId> Work;
       std::vector<NodeId> RootsOrder; // RootsFirst commit order
       if (Opts.Order == Traversal::OperandsFirst) {
         Work.reserve(SnapshotSize);
         for (NodeId N = 0; N < SnapshotSize; ++N)
-          if (!G.isDead(N) && NeedsDiscovery(N))
+          if (!G.isDead(N))
             Work.push_back(N);
       } else {
         std::vector<NodeId> Topo = G.topoOrder();
         RootsOrder.assign(Topo.rbegin(), Topo.rend());
-        Work.reserve(RootsOrder.size());
-        for (NodeId N : RootsOrder)
-          if (NeedsDiscovery(N))
-            Work.push_back(N);
+        Work = RootsOrder;
       }
 
       // Parallel discovery over the frozen snapshot. A task that throws
@@ -658,27 +496,13 @@ private:
           Stats.Discovery[entryName(Rules.entries()[I])].merge(Ctx->Entry[I]);
 
       // Serial commit in the canonical order; fires invalidate via Dirty.
-      // Per node: a still-valid memo is replayed (incremental hit), a
-      // clean discovered record is replayed via commitNode (and adopted
-      // as the node's memo when it proved the node fruitless), and a
-      // dirty or post-snapshot node is visited live — recording a fresh
-      // memo, exactly as the serial engine would at this point.
+      // Per node: a clean discovered record is replayed via commitNode,
+      // and a dirty or post-snapshot node is visited live, exactly as the
+      // serial engine would at this point.
       Dirty.assign(SnapshotSize, 0);
       auto CommitOne = [&](NodeId N, bool Clean) {
-        if (Clean && Opts.Incremental && N < MemoValid.size() &&
-            MemoValid[N]) {
-          noteMemoHit();
-          return replayMemo(N, RewriteMode);
-        }
-        if (Opts.Incremental)
-          noteMemoMiss();
-        if (Clean) {
-          bool Fired = commitNode(N, Disc[N], RewriteMode);
-          maybeStoreMemo(N, Disc[N], Fired);
-          return Fired;
-        }
-        return Opts.Incremental ? visitAndRecord(N, RewriteMode)
-                                : visitNode(N, RewriteMode);
+        return Clean ? commitNode(N, Disc[N], RewriteMode)
+                     : visitNode(N, RewriteMode);
       };
       if (Opts.Order == Traversal::OperandsFirst) {
         for (NodeId N = 0; N < G.numNodes(); ++N) {
@@ -719,7 +543,7 @@ private:
   }
 
   void computeRootFilters() {
-    if (planFamily(MK))
+    if (MK == MatcherKind::Plan)
       return; // the plan's discrimination tree subsumes the root index
     RootFilters.reserve(Rules.entries().size());
     for (const RewriteEntry &E : Rules.entries())
@@ -747,7 +571,7 @@ private:
                       const std::vector<uint8_t> &Cand) const {
     if (!Opts.UseRootIndex)
       return false;
-    if (planFamily(MK))
+    if (MK == MatcherKind::Plan)
       return !Cand.empty() && !Cand[I];
     return RootFilters[I] && !RootFilters[I]->count(G.op(N));
   }
@@ -757,7 +581,7 @@ private:
   /// traversal trace (profiling).
   void planCandidates(NodeId N, std::vector<uint8_t> &Cand,
                       plan::TraversalTrace *Trace = nullptr) const {
-    if (planFamily(MK) && Opts.UseRootIndex)
+    if (MK == MatcherKind::Plan && Opts.UseRootIndex)
       Plan->candidates(G, N, Cand, Trace);
     else
       Cand.clear();
@@ -769,67 +593,15 @@ private:
   /// attempt/match counters into: the serial visit passes the armed
   /// profile, discovery workers always pass nullptr (committed order only
   /// — commitNode replays the counters from the attempt records instead).
-  /// \p BM, when non-null (batch mode), supplies reused matcher instances
-  /// for \p A — constructed on first use, then amortized across every
-  /// attempt against that arena; the reference Machine always runs fresh.
   MatchResult runMatcher(size_t EntryIdx, const RewriteEntry &E,
                          term::TermRef T, const term::TermArena &A,
-                         plan::Profile *RecProf = nullptr,
-                         BatchMatchers *BM = nullptr) const {
-    switch (MK) {
-    case MatcherKind::Plan:
-      if (BM) {
-        if (!BM->Interp)
-          BM->Interp = std::make_unique<plan::Interpreter>(*Plan, A,
-                                                           Opts.MachineOpts);
-        BM->Interp->setProfile(RecProf);
-        return BM->Interp->matchOne(EntryIdx, T);
-      }
+                         plan::Profile *RecProf = nullptr) const {
+    if (MK == MatcherKind::Plan)
       return plan::Interpreter::run(*Plan, EntryIdx, T, A, Opts.MachineOpts,
                                     RecProf);
-    case MatcherKind::PlanThreaded:
-      if (BM) {
-        if (!BM->Thr)
-          BM->Thr = std::make_unique<plan::aot::ThreadedExec>(
-              *Threaded, A, Opts.MachineOpts);
-        BM->Thr->setProfile(RecProf);
-        return BM->Thr->matchOne(EntryIdx, T);
-      }
-      return plan::aot::ThreadedExec::run(*Threaded, EntryIdx, T, A,
-                                          Opts.MachineOpts, RecProf);
-    case MatcherKind::PlanAot:
-      if (BM) {
-        if (!BM->So)
-          BM->So = std::make_unique<plan::aot::SoExec>(*Plan, *AotLib, A,
-                                                       Opts.MachineOpts);
-        BM->So->setProfile(RecProf);
-        return BM->So->matchOne(EntryIdx, T);
-      }
-      return plan::aot::SoExec::run(*Plan, *AotLib, EntryIdx, T, A,
-                                    Opts.MachineOpts, RecProf);
-    case MatcherKind::Fast:
-      if (BM) {
-        if (!BM->Fast)
-          BM->Fast =
-              std::make_unique<match::FastMatcher>(A, Opts.MachineOpts);
-        return BM->Fast->matchOne(E.Pattern->Pat, T);
-      }
+    if (MK == MatcherKind::Fast)
       return match::FastMatcher::run(E.Pattern->Pat, T, A, Opts.MachineOpts);
-    case MatcherKind::Machine:
-      break;
-    }
     return match::matchPattern(E.Pattern->Pat, T, A, Opts.MachineOpts);
-  }
-
-  /// Whether a call site's reusable BatchMatchers should actually be used:
-  /// always for the AOT tiers (executor reuse is part of their speedup and
-  /// matchOne reuse is differentially pinned), otherwise only in batch
-  /// mode — keeping Plan/Fast per-attempt behavior exactly as before.
-  BatchMatchers *maybeBatch(BatchMatchers *BM) const {
-    if (Opts.Batch || MK == MatcherKind::PlanThreaded ||
-        MK == MatcherKind::PlanAot)
-      return BM;
-    return nullptr;
   }
 
   static std::string entryName(const RewriteEntry &E) {
@@ -853,18 +625,9 @@ private:
     // One tree traversal covers every entry. When profiling, capture its
     // trace in the node record: the commit phase merges it (clean nodes)
     // or discards it (dirty nodes re-traverse live) — never this thread.
-    // Batch mode reads the pass-start sweep's row instead (same mask, same
-    // trace sets; rows are immutable during discovery, so concurrent reads
-    // are safe).
     const bool TraceIt = Prof && Opts.UseRootIndex;
-    if (BatchActive && batchMaskFor(N, W.Cand)) {
-      if (TraceIt)
-        D.Trace = BatchTraces[BatchRows[N]];
-      D.Traced = TraceIt;
-    } else {
-      planCandidates(N, W.Cand, TraceIt ? &D.Trace : nullptr);
-      D.Traced = TraceIt;
-    }
+    planCandidates(N, W.Cand, TraceIt ? &D.Trace : nullptr);
+    D.Traced = TraceIt;
     for (size_t I = 0; I != Entries.size(); ++I) {
       if (QSnapshot[I])
         continue;
@@ -885,7 +648,7 @@ private:
         if (Faults && Faults->atAttemptSite(Stats.Passes, N, I))
           throw InjectedFault("injected fault: attempt site");
         term::TermRef T = W.View.termFor(N);
-        MR = runMatcher(I, E, T, W.Arena, nullptr, maybeBatch(&W.Batch));
+        MR = runMatcher(I, E, T, W.Arena);
       } catch (...) {
         W.View.invalidate();
         A.Kind = AttemptKind::Threw;
@@ -1006,172 +769,6 @@ private:
     return false;
   }
 
-  /// Batch mode, once per pass: one frontier sweep of the discrimination
-  /// tree computes the candidate masks of every live node at once
-  /// (Program::batchCandidates), instead of one depth-first walk per
-  /// node. Row I is byte-for-byte candidates(BatchRoots[I]), so every
-  /// skip decision — and every RootSkips counter — is unchanged; only the
-  /// traversal schedule is. Incremental mode skips memo-valid nodes: a
-  /// replay never consults a candidate mask (and a replay that falls back
-  /// to a live visit walks the tree per-node, as the row-invalid path
-  /// does).
-  void prepareBatchMasks() {
-    if (!BatchActive)
-      return;
-    BatchRoots.clear();
-    const size_t NumNodes = G.numNodes();
-    BatchRows.assign(NumNodes, UINT32_MAX);
-    for (NodeId N = 0; N < NumNodes; ++N) {
-      if (G.isDead(N))
-        continue;
-      if (Opts.Incremental && N < MemoValid.size() && MemoValid[N])
-        continue;
-      BatchRows[N] = static_cast<uint32_t>(BatchRoots.size());
-      BatchRoots.push_back(N);
-    }
-    Plan->batchCandidates(G, BatchRoots, BatchMasks,
-                          Prof ? &BatchTraces : nullptr);
-    BatchRowValid.assign(BatchRoots.size(), 1);
-    Stats.BatchedNodes += BatchRoots.size();
-  }
-
-  /// Copies node \p N's batch-swept candidate row into \p Mask. False when
-  /// the node has no still-valid row (unswept, post-sweep, or dirtied by a
-  /// mid-pass fire) — the caller walks the tree live instead.
-  bool batchMaskFor(NodeId N, std::vector<uint8_t> &Mask) const {
-    if (N >= BatchRows.size())
-      return false;
-    uint32_t Row = BatchRows[N];
-    if (Row == UINT32_MAX || !BatchRowValid[Row])
-      return false;
-    const size_t NE = Plan->numEntries();
-    const uint8_t *Src = BatchMasks.data() + size_t(Row) * NE;
-    Mask.assign(Src, Src + NE);
-    return true;
-  }
-
-  void invalidateBatchRow(NodeId N) {
-    if (N < BatchRows.size()) {
-      uint32_t Row = BatchRows[N];
-      if (Row != UINT32_MAX)
-        BatchRowValid[Row] = 0;
-    }
-  }
-
-  /// Live visit of \p N that records the attempt sequence into the
-  /// cross-pass memo. Only a *fruitless* clean visit is adopted: every
-  /// attempt ended RootSkip / NoMatch / MatchNoRules, no fault was
-  /// absorbed, no guard ran (guard evaluation advances the global
-  /// fault-injection counter, so a replay skipping it would desynchronize
-  /// fault schedules), and the run was not halted mid-visit. Anything
-  /// else leaves the memo invalid and the node is revisited live next
-  /// pass — exactly the full-rescan behavior.
-  bool visitAndRecord(NodeId N, bool RewriteMode) {
-    ensureMemoSize();
-    NodeDiscovery &D = Memo[N];
-    D = NodeDiscovery();
-    MemoValid[N] = 0;
-    Rec = &D;
-    RecDead = false;
-    bool Fired = visitNode(N, RewriteMode);
-    Rec = nullptr;
-    if (!Fired && !RecDead && !halted()) {
-      D.Complete = true;
-      MemoValid[N] = 1;
-    }
-    return Fired;
-  }
-
-  /// Adopts a clean parallel-discovery record as node \p N's cross-pass
-  /// memo when it proves the node fruitless — the same bar
-  /// visitAndRecord applies on the serial path. Terminal records
-  /// (MatchWithRules, Threw) are refused even when nothing fired at
-  /// commit time (a guard rejection or absorbed fault is not replayable).
-  void maybeStoreMemo(NodeId N, NodeDiscovery &D, bool Fired) {
-    if (!Opts.Incremental || Fired || halted() || !D.Complete)
-      return;
-    for (const Attempt &A : D.Attempts)
-      if (A.Kind == AttemptKind::MatchWithRules ||
-          A.Kind == AttemptKind::Threw)
-        return;
-    ensureMemoSize();
-    Memo[N] = std::move(D);
-    MemoValid[N] = 1;
-  }
-
-  /// Replays node \p N's memoized fruitless visit in committed order:
-  /// counters copied, budget charged, quarantine advanced, recorded
-  /// traversal trace re-added — exactly commitNode's clean-node replay,
-  /// plus the one check a *cross-pass* record needs. The site-fault
-  /// schedule depends on the pass number, so every attempt the full
-  /// rescan would run re-consults it; an armed site invalidates the memo
-  /// and falls back to the live visit, which absorbs the fault at the
-  /// identical committed attempt. Entries quarantined since the record
-  /// was taken are skipped without counting (quarantine is sticky, so the
-  /// rescan would skip them at the same point). Replays never fire, so
-  /// the pass fixpoint is reached exactly when full rescanning reaches
-  /// it.
-  bool replayMemo(NodeId N, bool RewriteMode) {
-    const NodeDiscovery &D = Memo[N];
-    if (Prof && D.Traced)
-      Prof->addTrace(D.Trace);
-    const auto &Entries = Rules.entries();
-    for (const Attempt &A : D.Attempts) {
-      if (halted())
-        return false;
-      if (Quarantined[A.Entry])
-        continue;
-      if (A.Kind != AttemptKind::RootSkip && Faults &&
-          Faults->atAttemptSite(Stats.Passes, N, A.Entry)) {
-        MemoValid[N] = 0;
-        return visitNode(N, RewriteMode, A.Entry,
-                         /*RecordTraversal=*/!D.Traced);
-      }
-      const RewriteEntry &E = Entries[A.Entry];
-      PatternStats &PS = statsFor(E);
-      switch (A.Kind) {
-      case AttemptKind::RootSkip:
-        ++PS.RootSkips;
-        break;
-      case AttemptKind::NoMatch:
-        ++PS.Attempts;
-        PS.MachineSteps += A.Steps;
-        PS.Backtracks += A.Backtracks;
-        PS.Seconds += A.Seconds;
-        chargeAttempt(A.Steps, A.MuUnfolds);
-        if (Prof)
-          Prof->noteAttempt(A.Entry);
-        if (A.Fuel) {
-          ++PS.FuelExhausted;
-          noteFuelExhaust(A.Entry);
-        }
-        break;
-      case AttemptKind::MatchNoRules:
-        ++PS.Attempts;
-        PS.MachineSteps += A.Steps;
-        PS.Backtracks += A.Backtracks;
-        PS.Seconds += A.Seconds;
-        chargeAttempt(A.Steps, A.MuUnfolds);
-        if (Prof) {
-          Prof->noteAttempt(A.Entry);
-          Prof->noteMatch(A.Entry);
-        }
-        ++PS.Matches;
-        ++Stats.TotalMatches;
-        break;
-      case AttemptKind::MatchWithRules:
-      case AttemptKind::Threw:
-        // Unreachable: terminal records are never adopted as memos
-        // (visitAndRecord poisons them, maybeStoreMemo refuses them).
-        // Recover with a live visit all the same.
-        MemoValid[N] = 0;
-        return visitNode(N, RewriteMode, A.Entry,
-                         /*RecordTraversal=*/!D.Traced);
-      }
-    }
-    return false;
-  }
-
   /// Tries each pattern from \p StartEntry in order at node N; on a match
   /// fires the first rule whose guard passes. Absorbs any exception thrown
   /// by the matcher, a guard, or the RHS builder (see onAttemptFault).
@@ -1182,26 +779,10 @@ private:
                  bool RecordTraversal = true) {
     const auto &Entries = Rules.entries();
     // One tree traversal covers every entry; when profiling, it is also
-    // one committed-order sample of group visits and edge hits. Batch mode
-    // substitutes the pass-start sweep's row when still valid (identical
-    // mask and trace sets; a dirtied row falls back to the live walk).
-    const bool TraceIt = Prof && Opts.UseRootIndex && RecordTraversal;
-    if (BatchActive && batchMaskFor(N, CandMask)) {
-      if (TraceIt) {
-        const plan::TraversalTrace &BT = BatchTraces[BatchRows[N]];
-        Prof->addTrace(BT);
-        if (Rec) {
-          Rec->Trace = BT;
-          Rec->Traced = true;
-        }
-      }
-    } else if (TraceIt) {
+    // one committed-order sample of group visits and edge hits.
+    if (Prof && Opts.UseRootIndex && RecordTraversal) {
       planCandidates(N, CandMask, &ScratchTrace);
       Prof->addTrace(ScratchTrace);
-      if (Rec) {
-        Rec->Trace = ScratchTrace;
-        Rec->Traced = true;
-      }
     } else {
       planCandidates(N, CandMask);
     }
@@ -1214,12 +795,6 @@ private:
       PatternStats &PS = statsFor(E);
       if (prefilteredOut(I, N, CandMask)) {
         ++PS.RootSkips;
-        if (Rec) {
-          Attempt A;
-          A.Entry = static_cast<uint32_t>(I);
-          A.Kind = AttemptKind::RootSkip;
-          Rec->Attempts.push_back(A);
-        }
         continue;
       }
 
@@ -1229,15 +804,13 @@ private:
         if (Faults && Faults->atAttemptSite(Stats.Passes, N, I))
           throw InjectedFault("injected fault: attempt site");
         term::TermRef T = View.termFor(N);
-        MR = runMatcher(I, E, T, Arena, Prof, maybeBatch(&SerialBatch));
+        MR = runMatcher(I, E, T, Arena, Prof);
       } catch (const std::exception &Ex) {
         View.invalidate();
-        RecDead = true; // absorbed fault: not replayable
         onAttemptFault(I, Ex.what());
         continue;
       } catch (...) {
         View.invalidate();
-        RecDead = true;
         onAttemptFault(I, "unknown exception");
         continue;
       }
@@ -1250,17 +823,6 @@ private:
       Stats.MatchSeconds += Elapsed;
       chargeAttempt(MR.Stats.Steps, MR.Stats.MuUnfolds);
       if (S != MachineStatus::Success) {
-        if (Rec) {
-          Attempt A;
-          A.Entry = static_cast<uint32_t>(I);
-          A.Kind = AttemptKind::NoMatch;
-          A.Fuel = (S == MachineStatus::OutOfFuel);
-          A.Steps = MR.Stats.Steps;
-          A.Backtracks = MR.Stats.Backtracks;
-          A.MuUnfolds = MR.Stats.MuUnfolds;
-          A.Seconds = Elapsed;
-          Rec->Attempts.push_back(A);
-        }
         if (S == MachineStatus::OutOfFuel) {
           ++PS.FuelExhausted;
           noteFuelExhaust(I);
@@ -1276,27 +838,12 @@ private:
       ++PS.Matches;
       ++Stats.TotalMatches;
       if (!RewriteMode || E.Rules.empty()) {
-        if (Rec) {
-          Attempt A;
-          A.Entry = static_cast<uint32_t>(I);
-          A.Kind = AttemptKind::MatchNoRules;
-          A.Steps = MR.Stats.Steps;
-          A.Backtracks = MR.Stats.Backtracks;
-          A.MuUnfolds = MR.Stats.MuUnfolds;
-          A.Seconds = Elapsed;
-          Rec->Attempts.push_back(A);
-        }
         if (!Opts.MemoizeTermView)
           View.invalidate();
         continue;
       }
       if (halted())
         return false; // budget died charging this attempt: don't fire
-
-      // Rules are in play: guards and fires from here on are not
-      // replayable (guard evaluation advances the global fault counter),
-      // so the node's record is poisoned whether or not anything fires.
-      RecDead = true;
 
       bool Fired;
       try {
@@ -1364,23 +911,18 @@ private:
     return false;
   }
 
-  /// Invalidates the match caches a commit made stale: every node in the
+  /// Marks the parallel commit's Dirty bits for every node in the
   /// footprint's users-closure — the transitive users of the fired root,
-  /// whose tree unrollings are the only ones the fire changes. Three
-  /// caches honor it: the parallel commit's Dirty bits, the cross-pass
-  /// incremental memo (MemoValid), and the pass's batch-swept candidate
-  /// rows. Conservative (already-committed users are marked too,
-  /// harmlessly); only snapshot ids carry a Dirty bit — new nodes always
-  /// take the live path anyway. Swept nodes need no bit: dead nodes are
-  /// never visited again.
+  /// whose tree unrollings are the only ones the fire can change; their
+  /// discovery records are stale. Conservative (already-committed users
+  /// are marked too, harmlessly); only snapshot ids carry a Dirty bit —
+  /// new nodes always take the live path anyway, and the serial engine
+  /// keeps no bits at all. Swept nodes need no bit: dead nodes are never
+  /// visited again.
   void markUsersDirty(const graph::CommitFootprint &F) {
-    for (NodeId U : F.Closure) {
+    for (NodeId U : F.Closure)
       if (U < Dirty.size())
         Dirty[U] = 1;
-      if (U < MemoValid.size())
-        MemoValid[U] = 0;
-      invalidateBatchRow(U);
-    }
   }
 };
 
@@ -1455,11 +997,6 @@ std::string RewriteStats::summary() const {
   Out += " swept=" + std::to_string(NodesSwept);
   Out += " viewConversions=" + std::to_string(ViewConversions) +
          " sweepVisits=" + std::to_string(SweepVisits);
-  if (MemoHits || MemoMisses)
-    Out += " memoHits=" + std::to_string(MemoHits) +
-           " memoMisses=" + std::to_string(MemoMisses);
-  if (BatchedNodes)
-    Out += " batched=" + std::to_string(BatchedNodes);
   if (SearchSteps)
     Out += " searchExpansions=" + std::to_string(SearchExpansions) +
            " searchGraphCopies=" + std::to_string(SearchGraphCopies);

@@ -46,8 +46,8 @@
 #include "rewrite/Rule.h"
 #include "support/Budget.h"
 
+#include <cstddef>
 #include <map>
-#include <optional>
 #include <string>
 
 namespace pypm::analysis::critical {
@@ -62,11 +62,6 @@ namespace pypm::plan {
 struct Profile;
 struct Program;
 } // namespace pypm::plan
-
-namespace pypm::plan::aot {
-class PlanLibrary;
-struct ThreadedProgram;
-} // namespace pypm::plan::aot
 
 namespace pypm::sim {
 class CostModel;
@@ -112,9 +107,9 @@ struct RewriteStats {
   uint64_t TotalMatches = 0;
   uint64_t TotalFired = 0;
   uint64_t NodesSwept = 0;
-  /// Exact work counters for the commit path (deterministic; like
-  /// MemoHits they describe the mode, so the differential suites leave
-  /// them out of equality). ViewConversions counts node→term conversions
+  /// Exact work counters for the commit path (deterministic, but they
+  /// describe the mode, so the differential suites leave them out of
+  /// equality). ViewConversions counts node→term conversions
   /// by the engine's term view — memo misses only; the parallel engine's
   /// per-worker discovery views are not counted. SweepVisits counts the
   /// nodes the engine's sweeps examined: worklist pops of a local commit
@@ -145,24 +140,6 @@ struct RewriteStats {
   /// fan-out phases (parallel engine) or, in the serial engine, the same
   /// value as MatchSeconds. The thread-sweep benches report this.
   double DiscoverySeconds = 0.0;
-  /// Incremental re-discovery accounting (RewriteOptions::Incremental;
-  /// both zero otherwise). A hit is one committed node whose fruitless
-  /// visit was replayed from the persistent per-node memo instead of
-  /// re-running the matchers; a miss is one committed node visited live
-  /// (first sight, dirty region, or unmemoizable outcome). Counted in
-  /// committed node order. Mode-descriptive — like DiscoverySeconds,
-  /// excluded from equality comparisons: when quarantine grows mid-pass,
-  /// the parallel engine can adopt a node's memo one pass later than the
-  /// serial engine (a discovery record truncated at a just-quarantined
-  /// entry is refused where the serial visit records past the skip), so
-  /// the hit/miss split may differ across thread counts even though every
-  /// committed outcome is identical.
-  uint64_t MemoHits = 0;
-  uint64_t MemoMisses = 0;
-  /// Nodes whose plan candidate mask came from a pass-start batched
-  /// frontier sweep instead of a per-node tree traversal
-  /// (RewriteOptions::Batch with the Plan matcher; 0 otherwise).
-  uint64_t BatchedNodes = 0;
   /// Cost-directed search accounting (RewriteOptions::Search != Greedy
   /// with Lookahead >= 1; all zero otherwise — the degenerate
   /// configurations dispatch to the greedy engine and report greedy's
@@ -221,31 +198,19 @@ enum class Traversal : uint8_t {
   RootsFirst,
 };
 
-/// Which matcher executes the per-(node, pattern) attempts. All five are
+/// Which matcher executes the per-(node, pattern) attempts. All three are
 /// observably identical per attempt — same status, witness, resume stream,
 /// and step counters (the differential suites assert it); they differ in
 /// cost and in how the engine prefilters:
 ///  - Machine: the reference machine of Figs. 17-18;
 ///  - Fast: the optimized trail-based FastMatcher (root-op prefilter);
 ///  - Plan: the whole rule set compiled into one shared discrimination-tree
-///    bytecode program (plan::Program); one tree traversal per node yields
-///    the candidate set for all patterns at once;
-///  - PlanThreaded: the same plan::Program pre-decoded once per run into a
-///    direct-threaded instruction stream (operands resolved, computed-goto
-///    dispatch where the compiler supports it) — toolchain-free, always
-///    available;
-///  - PlanAot: the same program executed by an emitted-C++ .so supplied via
-///    RewriteOptions::AotLib. A missing or fingerprint-mismatched library
-///    is a warning plus interpreter fallback, never an error or UB.
+///    bytecode program (plan::Program) run by plan::Interpreter; one tree
+///    traversal per node yields the candidate set for all patterns at once.
+/// PlanThreaded and PlanAot name removed executors of the same program;
+/// RewriteOptions::matcher() normalizes both to Plan (see the compatibility
+/// block there).
 enum class MatcherKind : uint8_t { Machine, Fast, Plan, PlanThreaded, PlanAot };
-
-/// True for the matchers that execute a compiled plan::Program (and hence
-/// share the discrimination-tree prefilter, PlanProfile recording, and the
-/// batched frontier sweep): Plan, PlanThreaded, PlanAot.
-inline bool planFamily(MatcherKind MK) {
-  return MK == MatcherKind::Plan || MK == MatcherKind::PlanThreaded ||
-         MK == MatcherKind::PlanAot;
-}
 
 /// How commits are selected once matches are discovered (see DESIGN.md
 /// §"Cost-directed search"). Greedy is §2.4's strategy: fire the first
@@ -271,32 +236,18 @@ struct RewriteOptions {
   /// index (Machine/Fast) or the shared discrimination tree (Plan).
   bool UseRootIndex = true;
   bool MemoizeTermView = true;
-  /// Match with the optimized trail-based matcher (FastMatcher). Disable
-  /// to run the reference machine of Figs. 17-18 instead; results are
-  /// identical (tests assert it), only cost differs (bench_ablation
-  /// quantifies it). Subsumed by Matcher when that is set.
-  bool UseFastMatcher = true;
-  /// Explicit matcher selection; unset defers to UseFastMatcher (the
-  /// pre-MatchPlan knob, kept so existing ablation configs keep meaning
-  /// what they meant).
-  std::optional<MatcherKind> Matcher;
-  /// With a plan-family matcher: use this already-compiled program instead of
+  /// Which matcher runs the attempts (see MatcherKind). Fast by default;
+  /// Machine runs the reference machine of Figs. 17-18 instead — results
+  /// are identical (tests assert it), only cost differs (bench_ablation
+  /// quantifies it).
+  MatcherKind Matcher = MatcherKind::Fast;
+  /// With the Plan matcher: use this already-compiled program instead of
   /// compiling one per run (e.g. loaded from a .pypmplan). Borrowed, must
   /// outlive the run, and must have been compiled from an identical rule
   /// set — the engine verifies entry names and falls back to a fresh
   /// compile on mismatch.
   const plan::Program *PrecompiledPlan = nullptr;
-  /// With Matcher == PlanThreaded: the pre-decoded threaded stream to
-  /// execute with, instead of decoding one per run. Borrowed, must outlive
-  /// the run, and must have been decoded from the exact Program the run
-  /// executes (the engine checks the decode's program pointer against the
-  /// plan it resolved and silently re-decodes on mismatch — a stream
-  /// decoded from some other plan is never run). Decode is cheap but its
-  /// allocations land mid-heap right before term building; batch servers
-  /// (PlanCache) and benches decode once per cached plan and pass it here
-  /// so per-run cost is attempts only.
-  const plan::aot::ThreadedProgram *PrecompiledThreaded = nullptr;
-  /// With a plan-family matcher: record a discrimination-tree/interpreter
+  /// With the Plan matcher: record a discrimination-tree/interpreter
   /// profile of the run into this profile (see plan/Profile.h). Borrowed,
   /// must outlive the run. An empty profile is bound to the run's plan; a
   /// populated one keeps accumulating if it is bound to the same plan,
@@ -305,46 +256,15 @@ struct RewriteOptions {
   /// traversal traces merge at commit — so the recorded profile is
   /// bit-identical at any NumThreads (tests/test_planprofile.cpp).
   plan::Profile *PlanProfile = nullptr;
-  /// With Matcher == PlanAot: the loaded emitted-plan library (see
-  /// plan/aot/Library.h) to execute attempts with. Borrowed, must outlive
-  /// the run. The engine re-validates its fingerprints against the plan it
-  /// actually runs (compiled or precompiled); null or mismatched demotes
-  /// the run to the interpreter with a Diags warning — the fallback ladder
-  /// ends in working code, never in refusing to rewrite.
-  const plan::aot::PlanLibrary *AotLib = nullptr;
 
+  /// The matcher that actually runs: Matcher, with the removed plan
+  /// executors normalized to Plan.
   MatcherKind matcher() const {
-    if (Matcher)
-      return *Matcher;
-    return UseFastMatcher ? MatcherKind::Fast : MatcherKind::Machine;
+    if (Matcher == MatcherKind::PlanThreaded || Matcher == MatcherKind::PlanAot)
+      return MatcherKind::Plan;
+    return Matcher;
   }
   Traversal Order = Traversal::OperandsFirst;
-  /// Incremental re-discovery: remember each node's complete, fruitless,
-  /// fault-free visit (the per-attempt outcome sequence) across passes and
-  /// replay it — copying counters, charging the budget, feeding quarantine
-  /// — instead of re-running the matchers, until a committed fire dirties
-  /// the node's region (the rewritten subtree's transitive users, computed
-  /// before the use edges are redirected) and invalidates the memo. Works
-  /// with every MatcherKind and thread count; results are bit-identical to
-  /// full re-discovery (final graph, witness order, every counter except
-  /// wall-clock and the MemoHits/MemoMisses accounting itself) — the
-  /// site-scheduled fault injector is re-consulted per replayed attempt,
-  /// and any armed site falls back to the live visit, so even injected
-  /// faults land at the identical committed attempt
-  /// (tests/test_incremental.cpp proves all of it differentially).
-  bool Incremental = false;
-  /// Batched discovery: amortize per-attempt setup across the pass. With
-  /// the Plan matcher, one struct-of-arrays frontier sweep of the
-  /// discrimination tree computes every pass-start node's candidate mask
-  /// at once (Program::batchCandidates) and one reused Interpreter — with
-  /// its μ-unfold memo keyed on the hash-consed pattern nodes — serves
-  /// every committed attempt; with the Fast matcher, one reused
-  /// FastMatcher serves every attempt (the parity mode, so differentials
-  /// stay three-way). Bit-identical to per-root discovery: a memo hit
-  /// still pays its unfold step, and a fire invalidates the dirty region's
-  /// precomputed masks exactly like the incremental memo. The reference
-  /// Machine is deliberately left un-batched.
-  bool Batch = false;
   /// Worker threads for the parallel match-discovery phase. 0 runs the
   /// serial legacy engine (kept for the ablation benches); N >= 1 fans
   /// node→pattern match attempts out over N workers against a frozen
@@ -430,7 +350,28 @@ struct RewriteOptions {
   /// request's failures into another's status. Borrowed; names that match
   /// no entry are ignored.
   const std::vector<std::string> *PreQuarantined = nullptr;
+
+  // --- Compatibility: names of removed mechanisms --------------------------
+  // The directly-threaded and emitted-.so plan executors, incremental
+  // re-discovery and batched discovery were removed (DESIGN.md §"Removed
+  // mechanisms"): none beat plain Plan end to end, and all produced the
+  // same bytes. Their option names stay so existing callers still compile;
+  // the engine never reads them, and the results are the Plan / per-node
+  // results whatever they hold.
+  bool Incremental = false;
+  bool Batch = false;
+  std::nullptr_t PrecompiledThreaded = nullptr;
+  std::nullptr_t AotLib = nullptr;
 };
+
+/// True when \p MK runs a compiled plan::Program — Plan, and the removed
+/// executors that RewriteOptions::matcher() normalizes to it. Kept for
+/// callers of the compatibility names above; the engine compares
+/// matcher() with Plan.
+inline bool planFamily(MatcherKind MK) {
+  return MK == MatcherKind::Plan || MK == MatcherKind::PlanThreaded ||
+         MK == MatcherKind::PlanAot;
+}
 
 /// Runs the rule set over the graph to fixpoint. Replacement nodes are
 /// shape-inferred with \p SI as they are built.

@@ -3,11 +3,11 @@
 // Structure of one search step (searchRewrite's outer loop):
 //
 //  1. COMMITTED ENUMERATION (serial, canonical order): walk the live nodes
-//     ascending, try every non-quarantined entry — through the plan-family
-//     discrimination-tree prefilter (and the batched frontier sweep under
-//     --batch) when one is selected — and enumerate up to SearchWitnesses
-//     witnesses per match via resume. Every witness with a passing rule
-//     guard is one Candidate; its witness is kept for the phases below.
+//     ascending, try every non-quarantined entry — through the plan's
+//     discrimination-tree prefilter when the Plan matcher is selected —
+//     and enumerate up to SearchWitnesses witnesses per match via
+//     resume. Every witness with a passing rule guard is one Candidate;
+//     its witness is kept for the phases below.
 //     This phase carries ALL governed state: budget step/μ charges,
 //     quarantine counts, fault sites, per-pattern counters. It is
 //     bit-identical at any NumThreads because it never runs on a worker.
@@ -310,11 +310,10 @@ public:
         for (size_t I = 0; I != NumEntries; ++I)
           if (entryName(Rules.entries()[I]) == Name)
             Quarantined[I] = 1;
-    // Plan-family matcher kinds contribute their discrimination-tree
-    // prefilter (and, under Batch, the frontier sweep); attempts
-    // themselves run FastMatcher — per-attempt observable behavior is
-    // identical across matcher kinds, so candidates are too.
-    if (planFamily(Opts.matcher()) && Opts.UseRootIndex) {
+    // The Plan matcher contributes its discrimination-tree prefilter;
+    // attempts themselves run FastMatcher — per-attempt observable
+    // behavior is identical across matcher kinds, so candidates are too.
+    if (Opts.matcher() == MatcherKind::Plan && Opts.UseRootIndex) {
       if (Opts.PrecompiledPlan && planMatchesRules(*Opts.PrecompiledPlan)) {
         Plan = Opts.PrecompiledPlan;
       } else {
@@ -501,24 +500,6 @@ private:
     const auto &Entries = Rules.entries();
     const uint64_t Sweep = Stats.SearchSteps - 1; // fault-site "pass" id
 
-    // Batched frontier sweep: one struct-of-arrays walk computes every
-    // live node's candidate mask at once (reusing batched discovery's
-    // machinery); otherwise masks come from per-node tree walks below.
-    std::vector<NodeId> BatchRoots;
-    std::vector<uint32_t> BatchRow;
-    std::vector<uint8_t> BatchMasks;
-    const bool Batched = Opts.Batch && Plan != nullptr;
-    if (Batched) {
-      BatchRow.assign(G.numNodes(), UINT32_MAX);
-      for (NodeId N = 0; N < G.numNodes(); ++N)
-        if (!G.isDead(N)) {
-          BatchRow[N] = static_cast<uint32_t>(BatchRoots.size());
-          BatchRoots.push_back(N);
-        }
-      Plan->batchCandidates(G, BatchRoots, BatchMasks);
-      Stats.BatchedNodes += BatchRoots.size();
-    }
-
     std::vector<uint8_t> Mask;
     for (NodeId N = 0; N < G.numNodes(); ++N) {
       if (G.isDead(N))
@@ -527,9 +508,7 @@ private:
         return;
       ++Stats.NodesVisited;
       const uint8_t *Cand = nullptr;
-      if (Batched) {
-        Cand = &BatchMasks[size_t(BatchRow[N]) * Entries.size()];
-      } else if (Plan) {
+      if (Plan) {
         Plan->candidates(G, N, Mask);
         Cand = Mask.data();
       }

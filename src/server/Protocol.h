@@ -101,11 +101,14 @@ struct RewriteRequest {
   uint64_t MaxMuUnfolds = 0;
   uint64_t MaxRewrites = 0;
   uint32_t Threads = 0;
-  /// 0 = server default (plan), 1 = machine, 2 = fast, 3 = plan,
-  /// 4 = plan-threaded, 5 = plan-aot (uses the cache's emitted .pypmso
-  /// when present; otherwise the engine falls back to the interpreter
-  /// with a warning — never a failed request).
+  /// 0 = server default (plan), 1 = machine, 2 = fast, 3 = plan. 4 and 5
+  /// named the removed plan-threaded and plan-aot executors; they still
+  /// decode and are served as plan (byte-identical replies). 6+ is
+  /// rejected.
   uint8_t Matcher = 0;
+  /// Flag bits 0 and 1 of the wire format: the removed incremental and
+  /// batched discovery modes. Decoded and echoed by the codec so old
+  /// clients keep working; the server ignores both.
   bool Incremental = false;
   bool Batch = false;
   /// Per-request deterministic fault injection: the site-schedule harness

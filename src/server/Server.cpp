@@ -166,27 +166,11 @@ RewriteReply Server::handle(const RewriteRequest &R) {
   case 2:
     EOpts.Matcher = rewrite::MatcherKind::Fast;
     break;
-  case 4:
-    EOpts.Matcher = rewrite::MatcherKind::PlanThreaded;
-    break;
-  case 5:
-    EOpts.Matcher = rewrite::MatcherKind::PlanAot;
-    break;
-  default: // 0 (daemon default) and 3: the cached, shared MatchPlan
+  default: // 0 (daemon default), 3, and the retired 4/5: the cached plan
     EOpts.Matcher = rewrite::MatcherKind::Plan;
+    EOpts.PrecompiledPlan = &E->prog();
     break;
   }
-  if (rewrite::planFamily(EOpts.matcher())) {
-    EOpts.PrecompiledPlan = &E->prog();
-    EOpts.PrecompiledThreaded = E->threaded(); // decode-once per entry
-    // Fourth cache tier: the validated emitted library, when the cache
-    // built one. Null (tier off, no compiler, build failed) is fine — the
-    // engine re-validates and demotes PlanAot to the interpreter with a
-    // warning rather than failing the request.
-    EOpts.AotLib = E->aotLib();
-  }
-  EOpts.Incremental = R.Incremental;
-  EOpts.Batch = R.Batch;
   if (R.MaxRewrites)
     EOpts.MaxRewrites = R.MaxRewrites;
   // Cost-directed commit selection; zero-valued knobs keep the engine

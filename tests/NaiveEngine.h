@@ -8,7 +8,7 @@
 /// passes. After every fire it redirects with Graph::replaceAllUses, runs
 /// the global Graph::removeUnreachable sweep and drops the whole term view
 /// (TermView::invalidate), so nothing it computes can be stale. No commit
-/// footprint, no incremental memo, no batch rows, no parallel discovery.
+/// footprint, no parallel discovery.
 ///
 /// It reproduces the engine's governance contract (budget charging,
 /// quarantine, absorbed faults, MaxRewrites) so governed runs are

@@ -143,8 +143,7 @@ inline std::string stressRepro(uint64_t Seed, unsigned ThreadsA,
 }
 
 /// Everything observable must agree except wall-clock fields (and the
-/// parallel-only Discovery map, plus the mode-descriptive memo/batch
-/// counters). Status carries the whole failure taxonomy — code, reason,
+/// parallel-only Discovery map). Status carries the whole failure taxonomy — code, reason,
 /// quarantine list, absorbed-fault count — so equality here is the
 /// bit-identical-governance claim. \p Repro, when non-empty, scopes every
 /// assertion with the failing case's seed and thread count (see

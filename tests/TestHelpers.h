@@ -4,7 +4,7 @@
 /// Conveniences shared across the test suite: a fixture owning a Signature
 /// + TermArena + PatternArena, term parsing shorthands, witness helpers,
 /// and the zoo-differential scaffolding (runModel + the two engine-run
-/// equality bars) shared by the MatchPlan / PlanProfile / incremental
+/// equality bars) shared by the MatchPlan / PlanProfile / naive-reference
 /// suites.
 ///
 //===----------------------------------------------------------------------===//
@@ -128,9 +128,9 @@ inline void expectSameRewrites(const RunResult &A, const RunResult &B,
 }
 
 /// What must agree between two runs of the *same* matcher kind (across
-/// thread counts, profiled orderings, or the batch/incremental discovery
-/// modes): every observable except wall-clock and the mode-descriptive
-/// memo/batch counters.
+/// thread counts or profiled orderings): every observable except
+/// wall-clock and the mode-descriptive work counters (ViewConversions,
+/// SweepVisits, FootprintNodes).
 inline void expectFullyEqual(const RunResult &A, const RunResult &B,
                              const std::string &Label) {
   SCOPED_TRACE(Label);

@@ -190,7 +190,7 @@ TEST_F(FastMatcherTest, EngineResultsIdenticalUnderBothMatchers) {
     opt::Pipeline PA2 = opt::makePipeline(SigA, Config);
     opt::Pipeline PB = opt::makePipeline(SigB, Config);
     rewrite::RewriteOptions FastOpts, RefOpts;
-    RefOpts.UseFastMatcher = false;
+    RefOpts.Matcher = rewrite::MatcherKind::Machine;
     rewrite::RewriteStats SA = rewrite::rewriteToFixpoint(
         *GA, PA2.Rules, graph::ShapeInference(), FastOpts);
     rewrite::RewriteStats SB = rewrite::rewriteToFixpoint(

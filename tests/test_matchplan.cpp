@@ -367,7 +367,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MatchPlanRandomTest,
 //===----------------------------------------------------------------------===//
 
 // Zoo-differential scaffolding shared with test_planprofile.cpp and
-// test_incremental.cpp.
+// test_naive_reference.cpp.
 using pypm::testing::expectFullyEqual;
 using pypm::testing::expectSameRewrites;
 using pypm::testing::planOpts;

@@ -1,15 +1,18 @@
 //===- tests/test_naive_reference.cpp - Optimized modes vs naive oracle ---===//
 ///
-/// Every optimized engine mode checked against the naive reference
+/// Every matcher at every thread count checked against the naive reference
 /// (NaiveEngine.h), which rebuilds its term view and sweeps the whole
 /// graph after every fire. The engine instead invalidates by each commit's
-/// footprint, sweeps locally, replays memoized visits, batches candidate
-/// masks and discovers in parallel; none of that may change a rewritten
-/// graph or a counter. Fast-matcher modes must agree with the reference on
-/// every RewriteStats counter (attempt-shaped ones included, since the
-/// reference uses the same matcher and root-operator prefilter); the
-/// batched plan-matcher modes agree on the committed rewrites (their tree
-/// prefilter legitimately skips more attempts — see expectSameRewrites).
+/// footprint, sweeps locally and discovers in parallel; none of that may
+/// change a rewritten graph or a counter. The Fast and Machine modes must
+/// agree with the reference on every RewriteStats counter (attempt-shaped
+/// ones included, since the reference uses the same root-operator
+/// prefilter and bit-identical matchers); the Plan mode agrees on the
+/// committed rewrites (its tree prefilter legitimately skips more attempts
+/// — see expectSameRewrites) and, at every thread count, on every counter
+/// with its own serial run. Over the zoo, the names of the removed
+/// discovery modes (the Incremental and Batch options) are checked too:
+/// the engine ignores them, so each must give its matcher's run exactly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,13 +39,22 @@ using pypm::testing::stressRepro;
 
 namespace {
 
-/// The discovery modes under test, each at every thread count.
-enum class Mode { Plain, Incremental, Batch, IncrementalBatch };
+/// The matchers under test, each at every thread count. Plain is the
+/// default (Fast) engine. Incremental, Batch and IncrementalBatch set the
+/// removed modes' options on the matcher they ran with: Fast for
+/// Incremental, Plan for the batched ones. The enumerator values are part
+/// of the instantiated test names (GetParam() prints them), so new modes
+/// go at the end.
+enum class Mode { Plain, Incremental, Batch, IncrementalBatch, Machine, Plan };
 
 const char *modeName(Mode M) {
   switch (M) {
   case Mode::Plain:
     return "plain";
+  case Mode::Machine:
+    return "machine";
+  case Mode::Plan:
+    return "plan";
   case Mode::Incremental:
     return "incremental";
   case Mode::Batch:
@@ -53,23 +65,29 @@ const char *modeName(Mode M) {
   return "?";
 }
 
-/// Engine options for \p M at \p Threads on top of \p Base. The batched
-/// modes run the plan matcher, where batching means the real frontier
-/// sweep (with the Fast matcher it is only matcher reuse).
+/// Engine options for \p M at \p Threads on top of \p Base.
 rewrite::RewriteOptions modeOpts(Mode M, unsigned Threads,
                                  rewrite::RewriteOptions Base = {}) {
   Base.NumThreads = Threads;
   Base.Incremental = M == Mode::Incremental || M == Mode::IncrementalBatch;
   Base.Batch = M == Mode::Batch || M == Mode::IncrementalBatch;
-  if (Base.Batch)
+  if (M == Mode::Machine)
+    Base.Matcher = rewrite::MatcherKind::Machine;
+  else if (M == Mode::Plan || Base.Batch)
     Base.Matcher = rewrite::MatcherKind::Plan;
   return Base;
 }
 
-bool planMode(Mode M) { return M == Mode::Batch || M == Mode::IncrementalBatch; }
+bool planMode(Mode M) {
+  return M == Mode::Plan || M == Mode::Batch || M == Mode::IncrementalBatch;
+}
 
-constexpr Mode AllModes[] = {Mode::Plain, Mode::Incremental, Mode::Batch,
-                             Mode::IncrementalBatch};
+constexpr Mode AllModes[] = {Mode::Plain, Mode::Machine, Mode::Plan};
+/// The zoo also runs the removed modes' names; the stress sweeps below
+/// keep to the matchers.
+constexpr Mode ZooModes[] = {Mode::Plain,       Mode::Machine,
+                             Mode::Plan,        Mode::Incremental,
+                             Mode::Batch,       Mode::IncrementalBatch};
 constexpr unsigned AllThreads[] = {0, 1, 2, 4, 8};
 
 //===----------------------------------------------------------------------===//
@@ -89,10 +107,14 @@ TEST_P(NaiveReferenceZoo, EveryModelMatchesTheReference) {
     RunResult Got = runModel(Model, modeOpts(M, Threads));
     std::string Label = Model.Name + " " + modeName(M) + " @" +
                         std::to_string(Threads);
-    if (planMode(M))
-      expectSameRewrites(Ref, Got, Label);
-    else
+    if (!planMode(M)) {
       expectFullyEqual(Ref, Got, Label);
+      continue;
+    }
+    expectSameRewrites(Ref, Got, Label);
+    if (Threads != 0 || M != Mode::Plan)
+      expectFullyEqual(runModel(Model, modeOpts(Mode::Plan, 0)), Got,
+                       Label + " vs plan @0");
   }
 }
 
@@ -121,7 +143,7 @@ TEST(NaiveReferenceZooSlice, RootsFirstAndMachineMatchTheReference) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, NaiveReferenceZoo,
     ::testing::Combine(::testing::ValuesIn(AllThreads),
-                       ::testing::ValuesIn(AllModes)),
+                       ::testing::ValuesIn(ZooModes)),
     [](const auto &Info) {
       std::string Name = modeName(std::get<1>(Info.param));
       for (char &C : Name)
@@ -185,9 +207,11 @@ class NaiveReferenceStressTest : public ::testing::TestWithParam<uint64_t> {};
 constexpr uint64_t StressStepCeiling = 40;
 
 /// Runs \p Base through the reference and through every mode × thread
-/// count, comparing each against the reference. \p Fresh, when set,
-/// prepares per-run state the options borrow (a budget, a fault
-/// injector) so every run starts from the same governance state.
+/// count, comparing each against the reference — the Plan mode on its
+/// committed rewrites in the plain leg, and in every leg on every counter
+/// against its own serial run. \p Fresh, when set, prepares per-run state
+/// the options borrow (a budget, a fault injector) so every run starts
+/// from the same governance state.
 void checkAllModes(uint64_t Seed, rewrite::RewriteOptions Base,
                    const std::string &Leg,
                    const std::function<void(rewrite::RewriteOptions &)>
@@ -196,26 +220,33 @@ void checkAllModes(uint64_t Seed, rewrite::RewriteOptions Base,
   if (Fresh)
     Fresh(RefOpts);
   StressOutcome Ref = runStressCase(Seed, RefOpts, /*Naive=*/true);
+  std::optional<StressOutcome> Plan0;
   for (Mode M : AllModes)
     for (unsigned Threads : AllThreads) {
-      // Plan-matcher attempts differ from the reference's, so budget and
-      // fuel charges land elsewhere; governed legs check the Fast modes.
-      if (planMode(M) && Leg != "plain")
-        continue;
       rewrite::RewriteOptions O = modeOpts(M, Threads, Base);
       if (Fresh)
         Fresh(O);
       StressOutcome Got = runStressCase(Seed, O);
       std::string What = Leg + " " + modeName(M);
-      if (planMode(M)) {
+      if (M != Mode::Plan) {
+        expectOutcomesEqual(Ref, Got, stressRepro(Seed, 0, Threads, What));
+        continue;
+      }
+      // Plan-matcher attempts differ from the reference's, so budget and
+      // fuel charges land elsewhere: only the plain leg compares plan runs
+      // with the reference; every leg compares them with plan @0.
+      if (Leg == "plain") {
         SCOPED_TRACE(stressRepro(Seed, 0, Threads, What));
         EXPECT_EQ(Ref.GraphText, Got.GraphText);
         EXPECT_EQ(Ref.Stats.TotalFired, Got.Stats.TotalFired);
         EXPECT_EQ(Ref.Stats.NodesSwept, Got.Stats.NodesSwept);
         EXPECT_EQ(Ref.Stats.Status, Got.Stats.Status);
-      } else {
-        expectOutcomesEqual(Ref, Got, stressRepro(Seed, 0, Threads, What));
       }
+      if (Threads == 0)
+        Plan0 = Got;
+      else
+        expectOutcomesEqual(*Plan0, Got,
+                            stressRepro(Seed, 0, Threads, What + " vs @0"));
     }
 }
 

@@ -355,7 +355,7 @@ TEST_F(PlanProfileAttemptTest, ProfileMergeSumsAndChecks) {
 //===----------------------------------------------------------------------===//
 
 // Zoo-differential scaffolding shared with test_matchplan.cpp and
-// test_incremental.cpp.
+// test_naive_reference.cpp.
 using pypm::testing::expectFullyEqual;
 using pypm::testing::expectSameRewrites;
 using pypm::testing::runModel;

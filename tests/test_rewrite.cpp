@@ -504,26 +504,23 @@ TEST_F(RewriteTest, SweptRepresentativeResolvesToTheLiveTwin) {
   EXPECT_FALSE(Ref.isDead(3));
   EXPECT_EQ(Ref.countOps("Sigmoid"), 1u);
   const std::string Expected = writeGraphText(Ref);
-  for (unsigned Threads : {0u, 1u, 2u})
-    for (bool Incremental : {false, true}) {
-      SCOPED_TRACE("threads=" + std::to_string(Threads) +
-                   " incremental=" + std::to_string(Incremental));
-      Graph Gr(Sig);
-      Build(Gr);
-      RewriteOptions O;
-      O.NumThreads = Threads;
-      O.Incremental = Incremental;
-      RewriteStats S = rewriteToFixpoint(Gr, RS, SI, O);
-      EXPECT_EQ(writeGraphText(Gr), Expected);
-      EXPECT_EQ(S.TotalFired, RefStats.TotalFired);
-      EXPECT_EQ(S.NodesSwept, RefStats.NodesSwept);
-      ASSERT_EQ(S.PerPattern.size(), RefStats.PerPattern.size());
-      for (auto [Name, PS] : S.PerPattern) {
-        PatternStats Want = RefStats.PerPattern.at(Name);
-        PS.Seconds = Want.Seconds = 0.0;
-        EXPECT_EQ(PS, Want) << Name;
-      }
-      DiagnosticEngine Diags;
-      EXPECT_TRUE(Gr.verify(Diags)) << Diags.renderAll();
+  for (unsigned Threads : {0u, 1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(Threads));
+    Graph Gr(Sig);
+    Build(Gr);
+    RewriteOptions O;
+    O.NumThreads = Threads;
+    RewriteStats S = rewriteToFixpoint(Gr, RS, SI, O);
+    EXPECT_EQ(writeGraphText(Gr), Expected);
+    EXPECT_EQ(S.TotalFired, RefStats.TotalFired);
+    EXPECT_EQ(S.NodesSwept, RefStats.NodesSwept);
+    ASSERT_EQ(S.PerPattern.size(), RefStats.PerPattern.size());
+    for (auto [Name, PS] : S.PerPattern) {
+      PatternStats Want = RefStats.PerPattern.at(Name);
+      PS.Seconds = Want.Seconds = 0.0;
+      EXPECT_EQ(PS, Want) << Name;
     }
+    DiagnosticEngine Diags;
+    EXPECT_TRUE(Gr.verify(Diags)) << Diags.renderAll();
+  }
 }

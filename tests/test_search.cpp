@@ -18,8 +18,8 @@
 ///
 ///  (c) COMPOSITION. Search composes with the governance surface — budget
 ///      ceilings, quarantine, injected faults, HaltOnFault, MaxRewrites —
-///      and with the discovery modes (Batch, Incremental, precompiled
-///      plans), deterministically at every thread count: worker threads
+///      and with precompiled plans, deterministically at every thread
+///      count: worker threads
 ///      only price candidates, hermetically, on private copies, so
 ///      nothing observable may move.
 ///
@@ -227,8 +227,7 @@ TEST_F(SearchConflictTest, MatcherKindsAgreeOnTheCommittedResult) {
   std::string FastText;
   double FastCost = endCost(beamOpts(2, 1), nullptr, &FastText);
   for (rewrite::MatcherKind MK :
-       {rewrite::MatcherKind::Machine, rewrite::MatcherKind::Plan,
-        rewrite::MatcherKind::PlanThreaded}) {
+       {rewrite::MatcherKind::Machine, rewrite::MatcherKind::Plan}) {
     SCOPED_TRACE(static_cast<int>(MK));
     RewriteOptions O = beamOpts(2, 1);
     O.Matcher = MK;
@@ -937,32 +936,6 @@ TEST(SearchStressFaults, SiteScheduleIsThreadInvariantUnderBeam) {
     for (unsigned Threads : {1u, 4u})
       expectOutcomesEqual(Serial, Run(Threads),
                           stressRepro(Seed, 0, Threads, "beam site-faults"));
-  }
-}
-
-/// Discovery-mode composition under beam search: Batch sweeps and the
-/// Incremental flag (a no-op in search mode — every sweep re-enumerates)
-/// must not change any committed observable.
-TEST(SearchStressCompose, BatchAndIncrementalAreObservationallyInert) {
-  for (uint64_t Seed : {0u, 7u, 23u}) {
-    RewriteOptions Base;
-    Base.Search = SearchStrategy::Beam;
-    Base.BeamWidth = 2;
-    Base.Lookahead = 1;
-    Base.MaxRewrites = 16;
-    Base.Matcher = rewrite::MatcherKind::Plan;
-    StressOutcome Plain = runStressCase(Seed, Base);
-
-    RewriteOptions Batched = Base;
-    Batched.Batch = true;
-    StressOutcome B = runStressCase(Seed, Batched);
-    expectOutcomesEqual(Plain, B, stressRepro(Seed, "beam batch-on"));
-    EXPECT_GT(B.Stats.BatchedNodes, 0u);
-
-    RewriteOptions Inc = Base;
-    Inc.Incremental = true;
-    expectOutcomesEqual(Plain, runStressCase(Seed, Inc),
-                        stressRepro(Seed, "beam incremental-on"));
   }
 }
 

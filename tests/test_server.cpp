@@ -30,8 +30,6 @@
 #include "models/Transformers.h"
 #include "plan/PlanBuilder.h"
 #include "plan/PlanSerializer.h"
-#include "plan/aot/Emitter.h"
-#include "plan/aot/Library.h"
 #include "support/FaultInjection.h"
 
 #include <gtest/gtest.h>
@@ -842,63 +840,6 @@ TEST(ServerCache, SidecarIndexColdStartAndCorruptionLadder) {
   }
 }
 
-/// Fourth cache tier (Options::Aot): the acquired entry carries a
-/// validated emitted-plan library, the artifact persists as <key>.pypmso
-/// next to the .pypmplan, a cold start serves it without rebuilding, and
-/// a corrupted artifact is a miss (caught by the pre-dlopen marker scan)
-/// repaired by an atomic rebuild. Gated on a host C++ compiler like every
-/// emitted-tier test; the tier itself degrades to "absent" without one.
-TEST(ServerCache, AotTierBuildsServesAndRepairs) {
-  if (plan::aot::AotEmitter::findCompiler().empty())
-    GTEST_SKIP() << "no C++ compiler available; emitted tier not buildable";
-  TempDir Dir;
-  PlanCache::Options CO;
-  CO.Dir = Dir.Path;
-  CO.Aot = true;
-  DiagnosticEngine Diags;
-  CacheSource Src;
-  {
-    PlanCache Warm(CO);
-    auto E = Warm.acquire(kRules, Diags, Src);
-    ASSERT_TRUE(E) << Diags.renderAll();
-    ASSERT_NE(E->aotLib(), nullptr);
-    EXPECT_TRUE(E->aotLib()->matches(E->prog()));
-    EXPECT_EQ(Warm.stats().AotBuilds, 1u);
-    EXPECT_EQ(Warm.stats().AotHits, 0u);
-    EXPECT_EQ(Warm.stats().AotFailures, 0u);
-  }
-  auto Sos = listFiles(Dir.Path, ".pypmso");
-  ASSERT_EQ(Sos.size(), 1u);
-
-  { // Cold start over a warm directory: served, not rebuilt.
-    PlanCache Cold(CO);
-    auto E = Cold.acquire(kRules, Diags, Src);
-    ASSERT_TRUE(E);
-    EXPECT_EQ(Src, CacheSource::Disk);
-    ASSERT_NE(E->aotLib(), nullptr);
-    EXPECT_EQ(Cold.stats().AotHits, 1u);
-    EXPECT_EQ(Cold.stats().AotBuilds, 0u);
-  }
-
-  { // Corrupt artifact: rejected before any dlopen, rebuilt in place; the
-    // entry is still served, with a once-again-valid library.
-    std::ofstream(Sos[0], std::ios::binary | std::ios::trunc) << "garbage";
-    PlanCache Cold(CO);
-    auto E = Cold.acquire(kRules, Diags, Src);
-    ASSERT_TRUE(E);
-    ASSERT_NE(E->aotLib(), nullptr);
-    EXPECT_EQ(Cold.stats().AotHits, 0u);
-    EXPECT_EQ(Cold.stats().AotBuilds, 1u);
-  }
-
-  { // ...and the repair is durable.
-    PlanCache Cold(CO);
-    auto E = Cold.acquire(kRules, Diags, Src);
-    ASSERT_TRUE(E);
-    EXPECT_EQ(Cold.stats().AotHits, 1u);
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Sticky quarantine (opt-in)
 //===----------------------------------------------------------------------===//
@@ -998,8 +939,6 @@ SingleShot singleShot(const RewriteRequest &R) {
   O.Matcher = R.Matcher == 1   ? rewrite::MatcherKind::Machine
               : R.Matcher == 2 ? rewrite::MatcherKind::Fast
                                : rewrite::MatcherKind::Plan;
-  O.Incremental = R.Incremental;
-  O.Batch = R.Batch;
   if (R.MaxRewrites)
     O.MaxRewrites = R.MaxRewrites;
   O.Diags = &D;

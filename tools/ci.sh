@@ -12,8 +12,8 @@
 # (everything but the 50-seed × thread-count sweeps) and "stress" (suites
 # named *Stress*). The quick default runs tier1 in every build flavor;
 # nightly mode (--nightly, or PYPM_CI_NIGHTLY=1) runs the full suite —
-# both tiers — everywhere, which is where the incremental/batched
-# differential sweeps earn their keep.
+# both tiers — everywhere, which is where the 50-seed differential sweeps
+# earn their keep.
 #
 # Usage: tools/ci.sh [--nightly] [jobs]
 set -euo pipefail
@@ -72,24 +72,10 @@ echo "=== profiled-plan suites under TSan ==="
 ./build-ci-tsan/tests/pypm_tests \
   --gtest_filter='*PlanProfile*'
 
-# Batched + incremental discovery: the dirty-region memo and the shared
-# batch matchers are per-pass mutable state threaded through the parallel
-# engine, so the differential suite runs under both sanitizers — TSan for
-# the frozen-mask/memo handoff across workers, ASan/UBSan for the memo
-# record/replay lifetime. Tier-1 members ran in ctest above; the quick
-# default re-runs them filtered so the incremental legs stay greppable.
-echo "=== incremental/batched suites under ASan/UBSan ==="
-./build-ci-asan/tests/pypm_tests \
-  --gtest_filter='IncrementalEngine.*:BatchCandidates.*:BatchMatchers.*'
-
-echo "=== incremental/batched suites under TSan ==="
-./build-ci-tsan/tests/pypm_tests \
-  --gtest_filter='IncrementalEngine.*:BatchCandidates.*:BatchMatchers.*'
-
 # Commit footprints: every fire partially erases the term view's maps and
-# hands the footprint's vectors to each cache it invalidates — lifetime
-# hazards for ASan/UBSan — and the naive-reference differential (zoo and
-# 50 stress seeds, threads 0/1/2/4/8, plain/incremental/batch, governed
+# hands the footprint's closure to the parallel commit's Dirty bits —
+# lifetime hazards for ASan/UBSan — and the naive-reference differential
+# (zoo and 50 stress seeds, threads 0/1/2/4/8, machine/fast/plan, governed
 # legs) drives the parallel commit path under TSan. The stress seeds run
 # here in the quick mode too.
 echo "=== commit-footprint suites under ASan/UBSan ==="
@@ -160,63 +146,15 @@ for B in build-ci-tsan build-ci-asan; do
   grep -q '"served":3' "$SMOKE/replies.$B.jsonl" # clean drain counted all 3
 done
 
-# AOT plan backends. The threaded tier runs under both sanitizers — the
-# computed-goto loop shares ExecState's trail/unwind machinery with the
-# interpreter (ASan/UBSan territory) and discovery workers each spin up an
-# executor over the one shared decoded stream (TSan territory). The
-# hostile-input .so corpus (MalformedAotLibrary.*) rides along under
-# ASan/UBSan: the validation ladder's whole job is rejecting corrupt
-# artifacts before dlopen can make anything undefined.
-echo "=== AOT plan-backend suites under ASan/UBSan ==="
+# The names of the removed mechanisms — the threaded and emitted-.so plan
+# executors, incremental and batched discovery — must stay inert: aliased
+# pypmd frames decode and serve the plan bytes, out-of-range ones are
+# still rejected, and a stale .pypmso in a cache dir is left alone. Under
+# ASan/UBSan: the wire codecs and the cache's disk tier are the hostile-
+# input surface those frames and files reach.
+echo "=== removed-mechanism compatibility under ASan/UBSan ==="
 ./build-ci-asan/tests/pypm_tests \
-  --gtest_filter='*Aot*:MalformedAotLibrary.*'
-
-echo "=== AOT plan-backend suites under TSan ==="
-./build-ci-tsan/tests/pypm_tests --gtest_filter='*Aot*'
-
-# Emitted-.so round trip, end to end over the real CLI: compile-plan
-# builds the library, rewrite runs it via --aot-lib and must agree with
-# the interpreter run bit for bit; a garbage library must exit 9. Runs
-# against the plain build (the emitter invokes the host compiler, whose
-# output is uninstrumented) and auto-skips when no host compiler exists —
-# the same condition under which the in-process tests GTEST_SKIP.
-if command -v c++ >/dev/null 2>&1 || command -v g++ >/dev/null 2>&1; then
-  echo "=== emitted-plan .so round trip (pypmc) ==="
-  ./build-ci/tools/pypmc compile-plan "$SMOKE/rules.pypm" \
-    -o "$SMOKE/rules.pypmplan" --aot="$SMOKE/rules.so"
-  ./build-ci/tools/pypmc rewrite "$SMOKE/rules.pypmplan" \
-    "$SMOKE/graph.pypmg" -o "$SMOKE/out-aot.pypmg" \
-    --matcher=plan-aot --aot-lib="$SMOKE/rules.so"
-  ./build-ci/tools/pypmc rewrite "$SMOKE/rules.pypmplan" \
-    "$SMOKE/graph.pypmg" -o "$SMOKE/out-plan.pypmg" --matcher=plan
-  cmp "$SMOKE/out-aot.pypmg" "$SMOKE/out-plan.pypmg"
-  printf 'not a shared object' > "$SMOKE/garbage.so"
-  if ./build-ci/tools/pypmc rewrite "$SMOKE/rules.pypmplan" \
-    "$SMOKE/graph.pypmg" --aot-lib="$SMOKE/garbage.so" \
-    2> "$SMOKE/garbage.err"; then
-    echo "error: garbage --aot-lib was accepted" >&2
-    exit 1
-  else
-    [[ $? -eq 9 ]]
-  fi
-  grep -q 'aot.not-an-artifact' "$SMOKE/garbage.err"
-else
-  echo "=== emitted-plan .so round trip: SKIPPED (no host C++ compiler" \
-    "on PATH; the threaded tier above still covers AOT execution) ==="
-fi
-
-# Threaded-vs-interpreter sweep (smoke): exercises the sweep driver end to
-# end and asserts match-count agreement as it times (the committed
-# BENCH_aot_sweep.json is produced by a full-size run).
-echo "=== aot-sweep benchmark (smoke) ==="
-./build-ci/bench/bench_partitioning --aot-sweep --smoke >/dev/null
-
-# Smoke-sized batched/incremental benchmark: exercises the sweep driver
-# end to end and sanity-checks that the modes actually amortize (the
-# committed BENCH_incremental_sweep.json is produced by a full-size run).
-echo "=== incremental-sweep benchmark (smoke) ==="
-./build-ci/bench/bench_partitioning --incremental-sweep --smoke \
-  >/dev/null
+  --gtest_filter='RemovedMechanismsCompat.*'
 
 # Daemon warm-vs-cold sweep (smoke): the plan-cache tiers must actually
 # pay off, and the sweep driver itself is exercised end to end (the
@@ -262,8 +200,7 @@ echo "=== critical-sweep benchmark (smoke) ==="
 # bugprone-* and performance-* checks, warnings-as-errors, against the
 # compile database the plain build exports. Scoped to src/analysis/ — the
 # newest, most pointer-juggling code — so the leg stays fast and the
-# signal stays high. Auto-skips when clang-tidy is not on PATH, the same
-# convention as the emitted-.so leg above.
+# signal stays high. Auto-skips when clang-tidy is not on PATH.
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "=== clang-tidy (src/analysis/, bugprone-* performance-*) ==="
   clang-tidy -p build-ci \
