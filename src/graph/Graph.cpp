@@ -128,42 +128,33 @@ void Graph::noteSwept() {
   SweptUpTo = static_cast<NodeId>(Nodes.size());
 }
 
-CommitFootprint Graph::commitRewrite(NodeId Root, NodeId Replacement,
-                                     NodeId FirstNew) {
-  CommitFootprint F;
-  F.Root = Root;
-  F.NewBegin = FirstNew;
-  F.NewEnd = static_cast<NodeId>(Nodes.size());
-  // Users-closure before the redirect: afterwards Root's old users hang
-  // off Replacement and the walk could no longer find them from Root.
-  {
-    std::vector<uint8_t> Seen(Nodes.size(), 0);
-    std::vector<NodeId> Stack{Root};
-    while (!Stack.empty()) {
-      NodeId Cur = Stack.back();
-      Stack.pop_back();
-      for (NodeId U : Users[Cur]) {
-        if (Seen[U])
-          continue;
-        Seen[U] = 1;
-        F.Closure.push_back(U);
-        Stack.push_back(U);
-      }
-    }
+void Graph::beginWalk() {
+  if (WalkMark.size() < Nodes.size())
+    WalkMark.resize(Nodes.size(), 0);
+  // A fresh epoch unmarks every node at once; on the (astronomically
+  // rare) wrap the marks are cleared for real.
+  if (++WalkEpoch == 0) {
+    std::fill(WalkMark.begin(), WalkMark.end(), 0);
+    WalkEpoch = 1;
   }
+}
+
+void Graph::redirectAndSweep(CommitFootprint &F, NodeId Replacement) {
+  const NodeId Root = F.Root;
   const bool Local = sweptClean();
-  redirectUses(Root, Replacement, FirstNew);
+  redirectUses(Root, Replacement, F.NewBegin);
   if (!Local) {
     removeUnreachable(&F.Swept);
     F.SweepVisits = Nodes.size();
-    return F;
+    return;
   }
   // Local sweep. Every live node was reachable after the last sweep, and
   // since then only Root lost users (the redirect) and nodes were
   // appended; so the newly unreachable nodes are exactly those whose
   // live-user count drops to zero starting from Root and the unreferenced
   // appended nodes — a Kahn-style peel of the dead region.
-  std::vector<NodeId> Work{Root};
+  std::vector<NodeId> &Work = WalkStack;
+  Work.assign(1, Root);
   for (NodeId N = SweptUpTo; N < Nodes.size(); ++N)
     if (Users[N].empty())
       Work.push_back(N);
@@ -188,7 +179,6 @@ CommitFootprint Graph::commitRewrite(NodeId Root, NodeId Replacement,
   }
   std::sort(F.Swept.begin(), F.Swept.end());
   noteSwept();
-  return F;
 }
 
 size_t Graph::numLiveNodes() const {

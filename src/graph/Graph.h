@@ -77,10 +77,13 @@ struct Node {
 struct CommitFootprint {
   /// The matched root whose uses were redirected.
   NodeId Root = InvalidNode;
-  /// Transitive users of Root, taken before the redirect: exactly the
-  /// nodes whose tree unrollings the commit changes (plus, harmlessly,
-  /// the replacement nodes that keep referring to Root). Each id once, in
-  /// discovery order.
+  /// The transitive users of Root that the commit's descend predicate
+  /// admitted, taken before the redirect. The full closure is exactly the
+  /// set of nodes whose tree unrollings the commit changes (plus,
+  /// harmlessly, the replacement nodes that keep referring to Root); the
+  /// walk stops at a rejected user, so a predicate that is closed under
+  /// users-of-rejected (e.g. "converted in a downward-closed memo") cuts
+  /// it to exactly the admitted part. Each id once, in discovery order.
   std::vector<NodeId> Closure;
   /// Ids this commit swept, ascending (previously dead nodes excluded).
   std::vector<NodeId> Swept;
@@ -188,6 +191,11 @@ public:
   /// commit's footprint; \p FirstNew must be numNodes() as it was before
   /// the replacement build started.
   ///
+  /// \p Descend (a `bool(NodeId)` callable) cuts the closure walk: a user
+  /// it rejects is neither recorded nor climbed through. The term view
+  /// passes "memoized", speculation whose footprint is discarded passes
+  /// "never"; the overload without it walks the full closure.
+  ///
   /// The sweep is local when the graph is known to be fully swept (the
   /// last mutation other than appends was a sweep, and the outputs are
   /// unchanged since): it walks down from \p Root and from the
@@ -196,8 +204,14 @@ public:
   /// touches. Otherwise — in particular on a graph never swept — it falls
   /// back to removeUnreachable. Either way the swept set equals what
   /// removeUnreachable would sweep.
+  template <typename DescendFn>
   CommitFootprint commitRewrite(NodeId Root, NodeId Replacement,
-                                NodeId FirstNew);
+                                NodeId FirstNew, DescendFn Descend);
+  CommitFootprint commitRewrite(NodeId Root, NodeId Replacement,
+                                NodeId FirstNew) {
+    return commitRewrite(Root, Replacement, FirstNew,
+                         [](NodeId) { return true; });
+  }
 
   std::vector<NodeId> &outputs() { return Outputs; }
   const std::vector<NodeId> &outputs() const { return Outputs; }
@@ -274,6 +288,12 @@ private:
   };
   /// Mutators test it once per list they touch.
   ScopeRef Scope;
+  /// commitRewrite's reusable walk scratch: visit marks (a node is seen
+  /// in the current closure walk iff its mark equals WalkEpoch) and one
+  /// stack shared by the closure walk and the local sweep's worklist.
+  std::vector<uint32_t> WalkMark;
+  std::vector<NodeId> WalkStack;
+  uint32_t WalkEpoch = 0;
 
   void saveUsers(NodeId N) {
     if (Scope.Log && N < Scope.Log->NumNodes)
@@ -292,7 +312,39 @@ private:
   void redirectUses(NodeId From, NodeId To, NodeId SkipUsersFrom);
   bool isOutput(NodeId N) const;
   void noteSwept();
+  /// Opens a fresh closure walk: every mark reads "unseen".
+  void beginWalk();
+  /// commitRewrite after the closure walk: redirect, then sweep.
+  void redirectAndSweep(CommitFootprint &F, NodeId Replacement);
 };
+
+template <typename DescendFn>
+CommitFootprint Graph::commitRewrite(NodeId Root, NodeId Replacement,
+                                     NodeId FirstNew, DescendFn Descend) {
+  CommitFootprint F;
+  F.Root = Root;
+  F.NewBegin = FirstNew;
+  F.NewEnd = static_cast<NodeId>(Nodes.size());
+  // Users-closure before the redirect: afterwards Root's old users hang
+  // off Replacement and the walk could no longer find them from Root.
+  beginWalk();
+  WalkStack.assign(1, Root);
+  while (!WalkStack.empty()) {
+    NodeId Cur = WalkStack.back();
+    WalkStack.pop_back();
+    for (NodeId U : Users[Cur]) {
+      if (WalkMark[U] == WalkEpoch)
+        continue;
+      WalkMark[U] = WalkEpoch;
+      if (!Descend(U))
+        continue;
+      F.Closure.push_back(U);
+      WalkStack.push_back(U);
+    }
+  }
+  redirectAndSweep(F, Replacement);
+  return F;
+}
 
 } // namespace pypm::graph
 

@@ -2,10 +2,11 @@
 
 #include "graph/GraphIO.h"
 
+#include <algorithm>
+#include <bit>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
-#include <unordered_map>
+#include <charconv>
+#include <functional>
 
 using namespace pypm;
 using namespace pypm::graph;
@@ -103,22 +104,24 @@ public:
     return Line.substr(Start, Pos - Start);
   }
 
+  /// An optionally signed decimal. A sign needs at least one digit after
+  /// it; out-of-range values fail rather than clamp.
   bool integer(int64_t &Out) {
     skipWs();
-    size_t Start = Pos;
-    if (Pos < Line.size() && (Line[Pos] == '-' || Line[Pos] == '+'))
-      ++Pos;
-    while (Pos < Line.size() &&
-           std::isdigit(static_cast<unsigned char>(Line[Pos])))
-      ++Pos;
-    if (Pos == Start)
+    size_t Digits = Pos;
+    if (Digits < Line.size() && (Line[Digits] == '-' || Line[Digits] == '+'))
+      ++Digits;
+    size_t End = Digits;
+    while (End < Line.size() &&
+           std::isdigit(static_cast<unsigned char>(Line[End])))
+      ++End;
+    if (End == Digits)
       return false;
-    errno = 0;
-    Out = std::strtoll(std::string(Line.substr(Start, Pos - Start)).c_str(),
-                       nullptr, 10);
-    if (errno == ERANGE)
-      return false; // overflow would silently clamp to INT64_MAX
-    return true;
+    // from_chars takes a '-' but not a '+'.
+    const char *First = Line.data() + (Line[Pos] == '+' ? Digits : Pos);
+    auto [Ptr, Ec] = std::from_chars(First, Line.data() + End, Out);
+    Pos = End;
+    return Ec == std::errc();
   }
 
   void error(std::string Msg) {
@@ -133,13 +136,63 @@ private:
   size_t Pos = 0;
 };
 
+/// The node names of one parse: an open-addressing table of views into
+/// the request text, kept at most half full by doubling. Defining a name
+/// allocates nothing unless the table grows.
+class NameTable {
+public:
+  /// Sized for \p Expected names without a rehash.
+  explicit NameTable(size_t Expected)
+      : Slots(std::bit_ceil(2 * Expected + 2)) {}
+
+  /// The node \p Name defines, or InvalidNode.
+  NodeId lookup(std::string_view Name) const { return Slots[probe(Name)].Id; }
+
+  /// Defines \p Name, which must be undefined.
+  void define(std::string_view Name, NodeId Id) {
+    if (2 * (Count + 1) > Slots.size())
+      grow();
+    Slots[probe(Name)] = {Name, Id};
+    ++Count;
+  }
+
+private:
+  struct Slot {
+    std::string_view Name;
+    NodeId Id = InvalidNode; ///< InvalidNode: the slot is empty
+  };
+  std::vector<Slot> Slots;
+  size_t Count = 0;
+
+  /// \p Name's slot if it is defined, else the empty slot it would take.
+  size_t probe(std::string_view Name) const {
+    const size_t Mask = Slots.size() - 1;
+    size_t I = std::hash<std::string_view>()(Name) & Mask;
+    while (Slots[I].Id != InvalidNode && Slots[I].Name != Name)
+      I = (I + 1) & Mask;
+    return I;
+  }
+
+  void grow() {
+    std::vector<Slot> Old(Slots.size() * 2);
+    Old.swap(Slots);
+    for (const Slot &S : Old)
+      if (S.Id != InvalidNode)
+        Slots[probe(S.Name)] = S;
+  }
+};
+
 } // namespace
 
 std::unique_ptr<Graph> pypm::graph::parseGraphText(std::string_view Text,
                                                    term::Signature &Sig,
                                                    DiagnosticEngine &Diags) {
   auto G = std::make_unique<Graph>(Sig);
-  std::unordered_map<std::string, NodeId> Names;
+  // A line defines at most one name. The cap keeps a text of empty lines
+  // from reserving much; larger graphs grow the table instead.
+  NameTable Names(
+      std::min<size_t>(std::count(Text.begin(), Text.end(), '\n') + 1, 4096));
+  std::vector<NodeId> Inputs; // one line's inputs, reused
   uint32_t LineNo = 0;
   size_t Pos = 0;
 
@@ -157,13 +210,13 @@ std::unique_ptr<Graph> pypm::graph::parseGraphText(std::string_view Text,
 
     std::string_view First = LP.ident();
     if (First == "output") {
-      std::string Ref(LP.ident());
-      auto It = Names.find(Ref);
-      if (It == Names.end()) {
-        LP.error("output references unknown node '" + Ref + "'");
+      std::string_view Ref = LP.ident();
+      NodeId Out = Names.lookup(Ref);
+      if (Out == InvalidNode) {
+        LP.error("output references unknown node '" + std::string(Ref) + "'");
         return nullptr;
       }
-      G->addOutput(It->second);
+      G->addOutput(Out);
       continue;
     }
     if (First.empty()) {
@@ -171,9 +224,9 @@ std::unique_ptr<Graph> pypm::graph::parseGraphText(std::string_view Text,
       return nullptr;
     }
 
-    std::string Name(First);
-    if (Names.count(Name)) {
-      LP.error("node '" + Name + "' redefined");
+    std::string_view Name = First;
+    if (Names.lookup(Name) != InvalidNode) {
+      LP.error("node '" + std::string(Name) + "' redefined");
       return nullptr;
     }
     if (!LP.expect('='))
@@ -201,18 +254,18 @@ std::unique_ptr<Graph> pypm::graph::parseGraphText(std::string_view Text,
       }
     }
 
-    std::vector<NodeId> Inputs;
+    Inputs.clear();
     if (!LP.expect('('))
       return nullptr;
     if (!LP.eat(')')) {
       do {
-        std::string Ref(LP.ident());
-        auto It = Names.find(Ref);
-        if (It == Names.end()) {
-          LP.error("unknown input node '" + Ref + "'");
+        std::string_view Ref = LP.ident();
+        NodeId In = Names.lookup(Ref);
+        if (In == InvalidNode) {
+          LP.error("unknown input node '" + std::string(Ref) + "'");
           return nullptr;
         }
-        Inputs.push_back(It->second);
+        Inputs.push_back(In);
       } while (LP.eat(','));
       if (!LP.expect(')'))
         return nullptr;
@@ -272,7 +325,7 @@ std::unique_ptr<Graph> pypm::graph::parseGraphText(std::string_view Text,
     NodeId N = G->addNode(Op, std::span<const NodeId>(Inputs),
                           std::move(Attrs));
     G->setType(N, std::move(Type));
-    Names.emplace(std::move(Name), N);
+    Names.define(Name, N);
   }
 
   if (G->outputs().empty() && G->numNodes() != 0)

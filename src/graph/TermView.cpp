@@ -9,8 +9,8 @@ using namespace pypm::graph;
 
 term::TermRef TermView::termFor(NodeId N) {
   assert(!G.isDead(N) && "term view of a dead node");
-  if (auto It = NodeToTerm.find(N); It != NodeToTerm.end())
-    return It->second;
+  if (memoized(N))
+    return NodeToTerm[N];
 
   std::vector<term::TermRef> Children;
   Children.reserve(G.inputs(N).size());
@@ -38,7 +38,9 @@ term::TermRef TermView::termFor(NodeId N) {
   term::TermRef T =
       Arena.make(G.op(N), std::span<const term::TermRef>(Children), Attrs);
   ++Conversions;
-  NodeToTerm.emplace(N, T);
+  if (NodeToTerm.size() <= N)
+    NodeToTerm.resize(G.numNodes(), nullptr);
+  NodeToTerm[N] = T;
   // Keep the first-converted representative; later nodes with the same
   // term queue up behind it.
   if (!TermToNode.emplace(T, N).second)
@@ -47,11 +49,10 @@ term::TermRef TermView::termFor(NodeId N) {
 }
 
 void TermView::dropNode(NodeId N) {
-  auto It = NodeToTerm.find(N);
-  if (It == NodeToTerm.end())
+  if (!memoized(N))
     return;
-  term::TermRef T = It->second;
-  NodeToTerm.erase(It);
+  term::TermRef T = NodeToTerm[N];
+  NodeToTerm[N] = nullptr;
   auto Sh = Shadowed.find(T);
   auto Rep = TermToNode.find(T);
   assert(Rep != TermToNode.end() && "memoized term without representative");
@@ -105,14 +106,13 @@ NodeId TermView::nodeFor(term::TermRef T, NodeId Root) const {
     if (Seen[N])
       continue;
     Seen[N] = 1;
-    auto It = NodeToTerm.find(N);
-    if (It == NodeToTerm.end()) {
+    if (!memoized(N)) {
       assert(false && "rooted resolution outside the memo");
       return InvalidNode;
     }
-    if (It->second == T)
+    if (NodeToTerm[N] == T)
       return N;
-    if (It->second->depth() <= T->depth())
+    if (NodeToTerm[N]->depth() <= T->depth())
       continue;
     auto Ins = G.inputs(N);
     for (size_t I = Ins.size(); I-- != 0;)

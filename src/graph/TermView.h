@@ -35,12 +35,19 @@
 ///
 /// After a graph mutation the memo must be told what changed: a committed
 /// rewrite passes its footprint to invalidateNodes(), which drops exactly
-/// the conversions the commit made stale (the users-closure of the
-/// redirected root and the swept nodes) and keeps the rest. Any other
-/// mutation calls invalidate(), which drops everything. Dropping a
-/// representative promotes the next-converted surviving node with the
-/// same term, so nodeFor never answers with a dead node or one whose
-/// unrolling changed.
+/// the conversions the commit made stale (the memoized part of the
+/// redirected root's users-closure, and the swept nodes) and keeps the
+/// rest. Any other mutation calls invalidate(), which drops everything.
+/// Dropping a representative promotes the next-converted surviving node
+/// with the same term, so nodeFor never answers with a dead node or one
+/// whose unrolling changed.
+///
+/// The committer may cut the closure walk to memoized() nodes
+/// (Graph::commitRewrite's descend predicate): because the memo is
+/// downward closed, a user that is not memoized has no memoized user, so
+/// the cut walk reaches every memoized node of the full closure and
+/// nothing else. A fire then costs the conversions it invalidates, not
+/// the size of its closure.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,6 +58,7 @@
 #include "term/Term.h"
 
 #include <unordered_map>
+#include <vector>
 
 namespace pypm::graph {
 
@@ -69,6 +77,11 @@ public:
   /// InvalidNode (see the file comment). \p Root must be memoized.
   NodeId nodeFor(term::TermRef T, NodeId Root) const;
 
+  /// True when \p N's conversion is memoized.
+  bool memoized(NodeId N) const {
+    return N < NodeToTerm.size() && NodeToTerm[N] != nullptr;
+  }
+
   /// Drops all memoized conversions (after a mutation other than a
   /// committed rewrite).
   void invalidate() {
@@ -78,8 +91,9 @@ public:
   }
 
   /// Drops the conversions a committed rewrite made stale: its
-  /// users-closure and its swept nodes. Every other memoized node's
-  /// unrolling is unchanged by the commit, so its conversion stays.
+  /// users-closure (full, or cut to memoized() nodes) and its swept
+  /// nodes. Every other memoized node's unrolling is unchanged by the
+  /// commit, so its conversion stays.
   void invalidateNodes(const CommitFootprint &F);
 
   /// Nodes actually converted (memo misses) over the view's lifetime.
@@ -94,7 +108,9 @@ private:
 
   const Graph &G;
   term::TermArena &Arena;
-  std::unordered_map<NodeId, term::TermRef> NodeToTerm;
+  /// Node -> its memoized term, or null; indexed by NodeId and grown on
+  /// conversion.
+  std::vector<term::TermRef> NodeToTerm;
   /// Term -> representative: the first-converted memoized node.
   std::unordered_map<term::TermRef, NodeId> TermToNode;
   /// Term -> the other memoized nodes with that term, in conversion order

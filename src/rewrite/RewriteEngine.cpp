@@ -65,9 +65,8 @@ double nowSeconds() {
       .count();
 }
 
-/// The set of operators a pattern can match at its root, or nullopt for
-/// "any" (root is a variable, function variable, or recursive call).
-std::optional<std::unordered_set<term::OpId>> rootOps(const Pattern *P) {
+/// The set of operators a pattern can match at its root (see RootOps).
+RootOps rootOps(const Pattern *P) {
   switch (P->kind()) {
   case PatternKind::App:
     return std::unordered_set<term::OpId>{cast<AppPattern>(P)->op()};
@@ -200,6 +199,7 @@ public:
     const size_t NumEntries = Rules.entries().size();
     Quarantined.assign(NumEntries, 0);
     FuelExhausts.assign(NumEntries, 0);
+    StatsSlots.assign(NumEntries, nullptr);
     // Pre-quarantined entries are disabled silently: no status raise, no
     // QuarantinedPatterns listing — the status describes this run only.
     if (Opts.PreQuarantined)
@@ -277,7 +277,7 @@ private:
   plan::Profile *Prof = nullptr;
   plan::TraversalTrace ScratchTrace; ///< serial-path traversal scratch
   std::vector<uint8_t> CandMask; ///< serial-path plan candidate scratch
-  std::vector<std::optional<std::unordered_set<term::OpId>>> RootFilters;
+  std::vector<RootOps> RootFilters;
   /// Commit-phase invalidation bits over the pass's snapshot ids. Empty in
   /// the serial engine (tracking disabled).
   std::vector<uint8_t> Dirty;
@@ -288,6 +288,8 @@ private:
   std::vector<uint8_t> QSnapshot;
   /// Commit-order OutOfFuel counts per entry (feeds QuarantineThreshold).
   std::vector<uint32_t> FuelExhausts;
+  /// Per-entry Stats.PerPattern slot, looked up on first use (statsFor).
+  std::vector<PatternStats *> StatsSlots;
   /// Set once when the run must halt; sticky. None while running.
   BudgetReason Stop = BudgetReason::None;
 
@@ -545,9 +547,7 @@ private:
   void computeRootFilters() {
     if (MK == MatcherKind::Plan)
       return; // the plan's discrimination tree subsumes the root index
-    RootFilters.reserve(Rules.entries().size());
-    for (const RewriteEntry &E : Rules.entries())
-      RootFilters.push_back(rootOps(E.Pattern->Pat));
+    RootFilters = rootOpFilters(Rules);
   }
 
   /// A borrowed precompiled plan is only usable if it was compiled from
@@ -573,7 +573,7 @@ private:
       return false;
     if (MK == MatcherKind::Plan)
       return !Cand.empty() && !Cand[I];
-    return RootFilters[I] && !RootFilters[I]->count(G.op(N));
+    return rootFilteredOut(RootFilters[I], G.op(N));
   }
 
   /// Computes the plan candidate mask for one node (no-op unless the plan
@@ -608,8 +608,14 @@ private:
     return std::string(E.Pattern->Name.str());
   }
 
-  PatternStats &statsFor(const RewriteEntry &E) {
-    return Stats.PerPattern[entryName(E)];
+  /// Entry \p I's PerPattern counters. The slot is created on the entry's
+  /// first counted event — never for an entry skipped throughout, e.g. a
+  /// pre-quarantined one — and cached: std::map nodes do not move.
+  PatternStats &statsFor(size_t I) {
+    PatternStats *&Slot = StatsSlots[I];
+    if (!Slot)
+      Slot = &Stats.PerPattern[entryName(Rules.entries()[I])];
+    return *Slot;
   }
 
   /// Speculative match attempts for one node against the frozen snapshot,
@@ -710,7 +716,6 @@ private:
     if (!D.Complete)
       // task fault: recover serially
       return visitNode(N, RewriteMode, 0, RecordTraversal);
-    const auto &Entries = Rules.entries();
     for (const Attempt &A : D.Attempts) {
       if (halted())
         return false;
@@ -724,8 +729,7 @@ private:
           return visitNode(N, RewriteMode, A.Entry + 1, RecordTraversal);
         continue;
       }
-      const RewriteEntry &E = Entries[A.Entry];
-      PatternStats &PS = statsFor(E);
+      PatternStats &PS = statsFor(A.Entry);
       switch (A.Kind) {
       case AttemptKind::RootSkip:
         ++PS.RootSkips;
@@ -792,7 +796,7 @@ private:
       if (Quarantined[I])
         continue;
       const RewriteEntry &E = Entries[I];
-      PatternStats &PS = statsFor(E);
+      PatternStats &PS = statsFor(I);
       if (prefilteredOut(I, N, CandMask)) {
         ++PS.RootSkips;
         continue;
@@ -894,9 +898,15 @@ private:
       // Destructive replacement (§2): redirect all *existing* uses — the
       // replacement's own references to the matched value stay — and
       // sweep the now-unreachable matched subgraph so it is not matched
-      // again. The commit's footprint then drives every invalidation.
+      // again. The commit's footprint then drives every invalidation. The
+      // serial engine's only consumer is the view, so its closure walk
+      // stops at nodes the view never converted (TermView.h); the
+      // parallel commit's Dirty bits need every snapshot user.
       graph::CommitFootprint F =
-          G.commitRewrite(N, Replacement, FirstNewNode);
+          Opts.NumThreads == 0
+              ? G.commitRewrite(N, Replacement, FirstNewNode,
+                                [this](NodeId U) { return View.memoized(U); })
+              : G.commitRewrite(N, Replacement, FirstNewNode);
       Stats.NodesSwept += F.Swept.size();
       Stats.SweepVisits += F.SweepVisits;
       Stats.FootprintNodes += F.size();
@@ -927,6 +937,14 @@ private:
 };
 
 } // namespace
+
+std::vector<RootOps> pypm::rewrite::rootOpFilters(const RuleSet &Rules) {
+  std::vector<RootOps> Filters;
+  Filters.reserve(Rules.entries().size());
+  for (const RewriteEntry &E : Rules.entries())
+    Filters.push_back(rootOps(E.Pattern->Pat));
+  return Filters;
+}
 
 NodeId pypm::rewrite::buildRhs(Graph &G, const graph::TermView &View,
                                const RhsExpr *Rhs, const match::Witness &W,

@@ -48,7 +48,10 @@
 
 #include <cstddef>
 #include <map>
+#include <optional>
 #include <string>
+#include <unordered_set>
+#include <vector>
 
 namespace pypm::analysis::critical {
 struct ConfluenceReport;
@@ -371,6 +374,22 @@ struct RewriteOptions {
 inline bool planFamily(MatcherKind MK) {
   return MK == MatcherKind::Plan || MK == MatcherKind::PlanThreaded ||
          MK == MatcherKind::PlanAot;
+}
+
+/// The operators one entry's pattern can match at its root, or nullopt for
+/// "any" (the root is a variable, function variable or recursive call).
+using RootOps = std::optional<std::unordered_set<term::OpId>>;
+
+/// The root-operator prefilter, one set per entry of \p Rules in entry
+/// order. Under the Machine and Fast matchers the greedy engine and the
+/// search's committed enumeration skip a (node, entry) pair whose set
+/// excludes the node's operator, counting a RootSkip instead of an attempt
+/// (the Plan matcher's discrimination tree subsumes it).
+std::vector<RootOps> rootOpFilters(const RuleSet &Rules);
+
+/// True when \p Filter proves its entry cannot match at a node with \p Op.
+inline bool rootFilteredOut(const RootOps &Filter, term::OpId Op) {
+  return Filter && !Filter->count(Op);
 }
 
 /// Runs the rule set over the graph to fixpoint. Replacement nodes are

@@ -3,11 +3,12 @@
 // Structure of one search step (searchRewrite's outer loop):
 //
 //  1. COMMITTED ENUMERATION (serial, canonical order): walk the live nodes
-//     ascending, try every non-quarantined entry — through the plan's
-//     discrimination-tree prefilter when the Plan matcher is selected —
-//     and enumerate up to SearchWitnesses witnesses per match via
-//     resume. Every witness with a passing rule guard is one Candidate;
-//     its witness is kept for the phases below.
+//     ascending, try every non-quarantined entry — through the greedy
+//     engine's prefilter: the plan's discrimination tree under the Plan
+//     matcher, the root-operator index otherwise — and enumerate up to
+//     SearchWitnesses witnesses per match via resume. Every witness with
+//     a passing rule guard is one Candidate; its witness is kept for the
+//     phases below.
 //     This phase carries ALL governed state: budget step/μ charges,
 //     quarantine counts, fault sites, per-pattern counters. It is
 //     bit-identical at any NumThreads because it never runs on a worker.
@@ -190,7 +191,15 @@ ApplyResult pypm::search::fireCandidate(Graph &G, const graph::TermView &View,
     NodeId Rep = rewrite::buildRhs(G, View, R->Rhs, W, SI, Faults, C.Node);
     if (Rep == graph::InvalidNode)
       continue; // RHS build failed (unbound var); try next rule
-    graph::CommitFootprint F = G.commitRewrite(C.Node, Rep, Base);
+    // A kept footprint feeds View's invalidation, so its closure walk
+    // stops at nodes View never converted (TermView.h); a discarded one
+    // needs no closure at all.
+    graph::CommitFootprint F =
+        Footprint ? G.commitRewrite(
+                        C.Node, Rep, Base,
+                        [&View](NodeId U) { return View.memoized(U); })
+                  : G.commitRewrite(C.Node, Rep, Base,
+                                    [](NodeId) { return false; });
     Res.Swept = F.Swept.size();
     // Delta-cost the commit: appended-and-live nodes minus previously-live
     // swept nodes (ids >= Base — replacement nodes and failed-rule orphans
@@ -305,14 +314,18 @@ public:
     const size_t NumEntries = Rules.entries().size();
     Quarantined.assign(NumEntries, 0);
     FuelExhausts.assign(NumEntries, 0);
+    StatsSlots.assign(NumEntries, nullptr);
     if (Opts.PreQuarantined)
       for (const std::string &Name : *Opts.PreQuarantined)
         for (size_t I = 0; I != NumEntries; ++I)
           if (entryName(Rules.entries()[I]) == Name)
             Quarantined[I] = 1;
-    // The Plan matcher contributes its discrimination-tree prefilter;
-    // attempts themselves run FastMatcher — per-attempt observable
+    // The prefilter is the greedy engine's: the Plan matcher contributes
+    // its discrimination tree, the others the root-operator index.
+    // Attempts themselves run FastMatcher — per-attempt observable
     // behavior is identical across matcher kinds, so candidates are too.
+    if (Opts.UseRootIndex && Opts.matcher() != MatcherKind::Plan)
+      RootFilters = rootOpFilters(Rules);
     if (Opts.matcher() == MatcherKind::Plan && Opts.UseRootIndex) {
       if (Opts.PrecompiledPlan && planMatchesRules(*Opts.PrecompiledPlan)) {
         Plan = Opts.PrecompiledPlan;
@@ -394,6 +407,9 @@ private:
   FaultInjector *Faults = nullptr;
   const plan::Program *Plan = nullptr;
   std::unique_ptr<plan::Program> OwnedPlan;
+  /// The root-operator prefilter (Machine and Fast matchers with the root
+  /// index on; empty otherwise).
+  std::vector<RootOps> RootFilters;
   std::unique_ptr<ThreadPool> Pool;
   /// The run's one incremental term view (and its arena): committed
   /// enumeration converts through it, commits invalidate it by footprint,
@@ -403,6 +419,8 @@ private:
   graph::UndoLog Undo; ///< level-1 speculation's journal on the subject
   std::vector<uint8_t> Quarantined;
   std::vector<uint32_t> FuelExhausts;
+  /// Per-entry Stats.PerPattern slot, looked up on first use (statsFor).
+  std::vector<PatternStats *> StatsSlots;
   BudgetReason Stop = BudgetReason::None;
   double RunningCost = 0.0;
 
@@ -489,8 +507,13 @@ private:
       quarantineEntry(I, "fault");
   }
 
+  /// Entry \p I's PerPattern counters, created on first use and cached
+  /// (std::map nodes do not move).
   PatternStats &statsFor(size_t I) {
-    return Stats.PerPattern[entryName(Rules.entries()[I])];
+    PatternStats *&Slot = StatsSlots[I];
+    if (!Slot)
+      Slot = &Stats.PerPattern[entryName(Rules.entries()[I])];
+    return *Slot;
   }
 
   /// Phase 1: the governed enumeration sweep (see file header). Appends
@@ -519,7 +542,9 @@ private:
           continue;
         const RewriteEntry &E = Entries[I];
         PatternStats &PS = statsFor(I);
-        if (Cand && !Cand[I]) {
+        if (Cand ? !Cand[I]
+                 : !RootFilters.empty() &&
+                       rootFilteredOut(RootFilters[I], G.op(N))) {
           ++PS.RootSkips;
           continue;
         }

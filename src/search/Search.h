@@ -125,8 +125,9 @@ ApplyResult applyCandidate(graph::Graph &G, const Candidate &C,
 /// concurrent calls on distinct graphs may share it. When no rule builds,
 /// or a guard or builder throws, the partial build and any failed-rule
 /// orphans stay in G — the caller rolls back. \p Footprint, when
-/// non-null, receives the commit's footprint. \p Faults as in
-/// applyCandidate.
+/// non-null, receives the commit's footprint for \p View's invalidation:
+/// its closure is cut to the nodes View has memoized. Without it the
+/// commit walks no closure. \p Faults as in applyCandidate.
 ApplyResult fireCandidate(graph::Graph &G, const graph::TermView &View,
                           const Candidate &C, const match::Witness &W,
                           const rewrite::RuleSet &Rules,

@@ -2,9 +2,12 @@
 
 #include "graph/Dot.h"
 #include "graph/Graph.h"
+#include "graph/TermView.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace pypm;
 using namespace pypm::graph;
@@ -328,6 +331,103 @@ TEST(GraphCommitOracle, LocalSweepEqualsGlobalSweep) {
                   std::vector<NodeId>(UO.begin(), UO.end()))
             << N;
       }
+    }
+  }
+}
+
+// The closure cut against the full closure: over the oracle's random DAGs
+// and commits, one graph copy commits with its closure walk cut to its
+// view's memo, the other walks the full closure, and each view is
+// invalidated by its own footprint. Between commits both views convert
+// the same random subset of live roots. The full closure must equal the
+// transitive users found by a plain search, and the cut one exactly
+// their memoized part — so the two views agree on every memo entry, and
+// on nodeFor for every memoized term.
+TEST(PrunedClosureOracle, CutFootprintInvalidatesLikeTheFullOne) {
+  for (uint64_t Seed = 0; Seed != 50; ++Seed) {
+    SCOPED_TRACE("seed=" + std::to_string(Seed));
+    term::Signature Sig;
+    term::OpId Un = Sig.addOp("Relu", 1), Bin = Sig.addOp("Add", 2);
+    Rng R(Seed * 7919 + 1);
+    Graph Cut(Sig);
+    buildRandomDag(R, Cut, Un, Bin);
+    Graph Full = Cut;
+    term::TermArena Arena(Sig); // shared: equal unrollings, equal refs
+    TermView CutView(Cut, Arena), FullView(Full, Arena);
+    for (int Step = 0; Step != 12; ++Step) {
+      SCOPED_TRACE("step " + std::to_string(Step));
+      std::vector<NodeId> Live;
+      for (NodeId N = 0; N != Cut.numNodes(); ++N)
+        if (!Cut.isDead(N))
+          Live.push_back(N);
+      for (NodeId N : Live) {
+        if (R.chance(1, 3)) {
+          ASSERT_EQ(CutView.termFor(N), FullView.termFor(N));
+        }
+      }
+      std::vector<uint8_t> Memoized(Cut.numNodes());
+      for (NodeId N = 0; N != Cut.numNodes(); ++N)
+        Memoized[N] = CutView.memoized(N);
+
+      NodeId Root = Live[R.below(Live.size())];
+      auto Ins = Cut.inputs(Root);
+      NodeId FirstNew = static_cast<NodeId>(Cut.numNodes());
+      std::vector<NodeId> Appended;
+      for (uint64_t I = R.below(3); I != 0; --I)
+        Appended.push_back(Live[R.below(Live.size())]);
+      Appended.push_back(Ins.empty() || R.chance(1, 3)
+                             ? Root
+                             : Ins[R.below(Ins.size())]);
+      NodeId Rep = InvalidNode;
+      for (Graph *G : {&Cut, &Full})
+        for (NodeId In : Appended)
+          Rep = G->addNode(Un, {In});
+      // The oracle closure: every transitive user of Root before the
+      // redirect, the appended nodes that use Root included.
+      std::vector<NodeId> Closure;
+      {
+        std::vector<uint8_t> Seen(Cut.numNodes());
+        std::vector<NodeId> Stack{Root};
+        while (!Stack.empty()) {
+          NodeId N = Stack.back();
+          Stack.pop_back();
+          for (NodeId U : Cut.users(N))
+            if (!Seen[U]) {
+              Seen[U] = 1;
+              Closure.push_back(U);
+              Stack.push_back(U);
+            }
+        }
+      }
+      std::sort(Closure.begin(), Closure.end());
+      CommitFootprint FC = Cut.commitRewrite(
+          Root, Rep, FirstNew,
+          [&](NodeId U) { return CutView.memoized(U); });
+      CommitFootprint FF = Full.commitRewrite(Root, Rep, FirstNew);
+
+      std::vector<NodeId> Expect;
+      for (NodeId U : Closure)
+        if (U < Memoized.size() && Memoized[U])
+          Expect.push_back(U);
+      std::sort(FF.Closure.begin(), FF.Closure.end());
+      ASSERT_EQ(FF.Closure, Closure);
+      std::sort(FC.Closure.begin(), FC.Closure.end());
+      ASSERT_EQ(FC.Closure, Expect);
+      ASSERT_EQ(FC.Swept, FF.Swept);
+      CutView.invalidateNodes(FC);
+      FullView.invalidateNodes(FF);
+
+      const uint64_t Conversions = CutView.conversions();
+      for (NodeId N = 0; N != Cut.numNodes(); ++N) {
+        ASSERT_EQ(CutView.memoized(N), FullView.memoized(N)) << N;
+        if (!CutView.memoized(N))
+          continue;
+        term::TermRef T = CutView.termFor(N); // memo hits only
+        ASSERT_EQ(T, FullView.termFor(N)) << N;
+        ASSERT_EQ(CutView.nodeFor(T), FullView.nodeFor(T)) << N;
+        ASSERT_NE(CutView.nodeFor(T), InvalidNode) << N;
+      }
+      ASSERT_EQ(CutView.conversions(), Conversions);
     }
   }
 }

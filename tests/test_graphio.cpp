@@ -124,3 +124,57 @@ TEST(GraphIO, CommentsAndBlankLinesIgnored) {
   ASSERT_TRUE(G != nullptr);
   EXPECT_EQ(G->numLiveNodes(), 1u);
 }
+
+// A sign needs a digit after it: a lone '-' or '+' once parsed as 0
+// (`f32[-]` read as `f32[0]`, `Input[k=-]` as k=0).
+TEST(GraphIO, ErrorLoneSignIsNoInteger) {
+  for (const char *Text : {"a = Input() : f32[-]\n", "a = Input() : f32[+]\n",
+                           "a = Input() : f32[+x4]\n",
+                           "a = Input() : f32[4x-]\n"}) {
+    SCOPED_TRACE(Text);
+    EXPECT_NE(parseErr(Text).find("expected dimension"), std::string::npos);
+  }
+  for (const char *Text : {"a = Input[k=-]() : f32[4]\n",
+                           "a = Input[k=+]() : f32[4]\n",
+                           "a = Input[k=+-5]() : f32[4]\n"}) {
+    SCOPED_TRACE(Text);
+    EXPECT_NE(parseErr(Text).find("malformed attribute"), std::string::npos);
+  }
+}
+
+TEST(GraphIO, SignedIntegersAndRangeLimits) {
+  term::Signature Sig;
+  auto G = parseOk("a = Input[k=-7,j=+3,m=-9223372036854775808]() : "
+                   "f32[+4x0]\noutput a\n",
+                   Sig);
+  ASSERT_TRUE(G != nullptr);
+  EXPECT_EQ(G->attr(0, Symbol::intern("k")), -7);
+  EXPECT_EQ(G->attr(0, Symbol::intern("j")), 3);
+  EXPECT_EQ(G->attr(0, Symbol::intern("m")), INT64_MIN);
+  EXPECT_EQ(G->type(0).Dims, (std::vector<int64_t>{4, 0}));
+  EXPECT_NE(parseErr("a = Input[k=9223372036854775808]() : f32[4]\n")
+                .find("malformed attribute"),
+            std::string::npos);
+  EXPECT_NE(parseErr("a = Input() : f32[-3]\n").find("negative dimension -3"),
+            std::string::npos);
+}
+
+// Names past the name table's initial size: the table grows, and names
+// defined before the growth still resolve, as do redefinitions.
+TEST(GraphIO, ResolvesNamesAcrossNameTableGrowth) {
+  constexpr int Count = 10000;
+  std::string Text = "x0 = Input[uid=0]() : f32[4]\n";
+  for (int I = 1; I != Count; ++I)
+    Text += "x" + std::to_string(I) + " = Add(x" + std::to_string(I - 1) +
+            ", x0) : f32[4]\n";
+  Text += "output x" + std::to_string(Count - 1) + "\n";
+  term::Signature Sig;
+  auto G = parseOk(Text, Sig);
+  ASSERT_TRUE(G != nullptr);
+  EXPECT_EQ(G->numLiveNodes(), size_t(Count));
+  auto Ins = G->inputs(Count - 1);
+  EXPECT_EQ(std::vector<NodeId>(Ins.begin(), Ins.end()),
+            (std::vector<NodeId>{Count - 2, 0}));
+  EXPECT_NE(parseErr(Text + "x17 = Input() : f32[4]\n").find("'x17' redefined"),
+            std::string::npos);
+}

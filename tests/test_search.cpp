@@ -455,6 +455,43 @@ TEST(SearchZoo, BeamFiresTheAttentionFusionLikeGreedy) {
   }
 }
 
+// The committed enumeration applies the greedy engine's prefilter under
+// every matcher: under Machine and Fast the root-operator index skips the
+// (node, entry) pairs whose root operator the pattern excludes, instead of
+// starting the matcher on each. Those attempts could only fail, so the
+// search commits the same rewrites — graph bytes and modeled cost — as
+// with the index off, where every pair is attempted.
+TEST(SearchZoo, RootIndexPrefiltersTheCommittedEnumeration) {
+  models::ModelEntry Model = models::hfSuite().front(); // bert-tiny
+  auto Sum = [](const RewriteStats &S, uint64_t rewrite::PatternStats::*F) {
+    uint64_t Total = 0;
+    for (const auto &[Name, PS] : S.PerPattern)
+      Total += PS.*F;
+    return Total;
+  };
+  for (rewrite::MatcherKind MK :
+       {rewrite::MatcherKind::Machine, rewrite::MatcherKind::Fast}) {
+    SCOPED_TRACE(static_cast<int>(MK));
+    RewriteOptions On;
+    On.Search = SearchStrategy::Beam;
+    On.Matcher = MK;
+    RewriteOptions Off = On;
+    Off.UseRootIndex = false;
+    RunResult A = runModel(Model, On), B = runModel(Model, Off);
+    expectSameRewrites(A, B, "root index on vs off");
+    EXPECT_EQ(A.Stats.SearchSteps, B.Stats.SearchSteps);
+    EXPECT_EQ(A.Stats.SearchCandidates, B.Stats.SearchCandidates);
+    EXPECT_EQ(std::bit_cast<uint64_t>(A.Stats.ModeledCostAfter),
+              std::bit_cast<uint64_t>(B.Stats.ModeledCostAfter));
+    const uint64_t Skips = Sum(A.Stats, &rewrite::PatternStats::RootSkips);
+    EXPECT_GT(Skips, 0u);
+    EXPECT_EQ(Sum(B.Stats, &rewrite::PatternStats::RootSkips), 0u);
+    // Every (node, entry) pair is either skipped or attempted.
+    EXPECT_EQ(Sum(A.Stats, &rewrite::PatternStats::Attempts) + Skips,
+              Sum(B.Stats, &rewrite::PatternStats::Attempts));
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Governance composition: MaxRewrites, budgets
 //===----------------------------------------------------------------------===//
