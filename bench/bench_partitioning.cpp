@@ -456,9 +456,11 @@ int runDaemonSweep(bool Smoke) {
 /// beat greedy on every row or the sweep fails: the committed JSON is a
 /// claim, not a log. Leg two runs the standard confluent pipeline over
 /// the zoo under both engines; there every fixpoint costs the same, so
-/// the rows isolate the search tax (clone + price per candidate) on
-/// workloads where searching cannot help. Best-of-R wall times; `--smoke`
-/// shrinks the ladder, the zoo, and the repeat count.
+/// the rows isolate the search tax (enumerate, price and roll back per
+/// step) on workloads where searching cannot help, with the beam's exact
+/// work counters: nodes enumerated, term conversions and speculative
+/// fires. Best-of-R wall times; `--smoke` shrinks the ladder, the zoo,
+/// and the repeat count.
 int runSearchSweep(bool Smoke) {
   const int Repeats = Smoke ? 3 : 9;
   using Clock = std::chrono::steady_clock;
@@ -574,15 +576,16 @@ rule full for FullGelu(x, y) { return Gelu(cublasMM_xyT_f32(x, y)); }
   std::printf("  ],\n  \"zoo\": [\n");
   for (size_t MI = 0; MI != Zoo.size(); ++MI) {
     const models::ModelEntry &Model = Zoo[MI];
-    auto RunZoo = [&](const rewrite::RewriteOptions &Opts, double &BestWall) {
+    auto RunZoo = [&](const rewrite::RewriteOptions &Opts, double &BestWall,
+                      rewrite::RewriteStats &Stats) {
       double Cost = 0;
       for (int Rep = 0; Rep != Repeats; ++Rep) {
         term::Signature Sig;
         auto G = Model.Build(Sig);
         opt::Pipeline Pipe = opt::makePipeline(Sig, opt::OptConfig::Both);
         Clock::time_point T0 = Clock::now();
-        (void)rewrite::rewriteToFixpoint(*G, Pipe.Rules,
-                                         graph::ShapeInference(), Opts);
+        Stats = rewrite::rewriteToFixpoint(*G, Pipe.Rules,
+                                           graph::ShapeInference(), Opts);
         double Wall = std::chrono::duration<double>(Clock::now() - T0).count();
         if (Rep == 0 || Wall < BestWall)
           BestWall = Wall;
@@ -596,8 +599,9 @@ rule full for FullGelu(x, y) { return Gelu(cublasMM_xyT_f32(x, y)); }
     Beam.BeamWidth = 4;
     Beam.Lookahead = 2;
     double GreedyWall = 0, BeamWall = 0;
-    double GreedyCost = RunZoo(Greedy, GreedyWall);
-    double BeamCost = RunZoo(Beam, BeamWall);
+    rewrite::RewriteStats GreedyStats, BeamStats;
+    double GreedyCost = RunZoo(Greedy, GreedyWall, GreedyStats);
+    double BeamCost = RunZoo(Beam, BeamWall, BeamStats);
     if (BeamCost > GreedyCost + 1e-15) {
       std::fprintf(stderr, "search-sweep: beam regressed the zoo model %s "
                            "(%.9e vs %.9e)\n",
@@ -606,10 +610,15 @@ rule full for FullGelu(x, y) { return Gelu(cublasMM_xyT_f32(x, y)); }
     }
     std::printf("    {\"model\": \"%s\", \"greedy_cost_us\": %.3f, "
                 "\"beam_cost_us\": %.3f, \"greedy_wall_ms\": %.3f, "
-                "\"beam_wall_ms\": %.3f, \"search_tax\": %.3f}%s\n",
+                "\"beam_wall_ms\": %.3f, \"search_tax\": %.3f, "
+                "\"nodes_visited\": %llu, \"view_conversions\": %llu, "
+                "\"expansions\": %llu}%s\n",
                 Model.Name.c_str(), GreedyCost * 1e6, BeamCost * 1e6,
                 GreedyWall * 1e3, BeamWall * 1e3,
                 GreedyWall > 0 ? BeamWall / GreedyWall : 0.0,
+                (unsigned long long)BeamStats.NodesVisited,
+                (unsigned long long)BeamStats.ViewConversions,
+                (unsigned long long)BeamStats.SearchExpansions,
                 MI + 1 == Zoo.size() ? "" : ",");
   }
   std::printf("  ]\n}\n");

@@ -95,6 +95,8 @@ private:
   term::Signature &Sig;
   DiagnosticEngine &Diags;
   std::unique_ptr<Library> Lib;
+  /// Binder names for literals and inlined parameters (FreshNames).
+  FreshNames Names;
 
   struct Group {
     Symbol Name;
@@ -485,7 +487,7 @@ private:
   const Pattern *lowerLiteral(int64_t MicroValue) {
     term::OpId Const = constOp();
     (void)Const;
-    Symbol C = Symbol::fresh("lit");
+    Symbol C = Names.next("lit");
     const GuardExpr *IsConst = Lib->Arena.binary(
         GuardKind::Eq, Lib->Arena.attr(C, Symbol::intern("op_id")),
         Lib->Arena.opRef(Symbol::intern("Const")));
@@ -640,7 +642,7 @@ private:
         if (Arg->K == Expr::Kind::Ref && Sig.lookup(Arg->Name).isValid()) {
           // Concrete operator passed for a function parameter: synthesize a
           // fresh function variable pinned to that operator by a guard.
-          Symbol F = Symbol::fresh(Arg->Name.str());
+          Symbol F = Names.next(Arg->Name.str());
           Renames[Param] = F;
           FunGuards.push_back(Lib->Arena.binary(
               GuardKind::Eq,
@@ -661,12 +663,12 @@ private:
       const Pattern *ArgPat = lowerExpr(G, Env, Arg);
       if (!ArgPat)
         return nullptr;
-      Symbol Fresh = Symbol::fresh(Param.str());
+      Symbol Fresh = Names.next(Param.str());
       Renames[Param] = Fresh;
       ComplexArgs.push_back({Fresh, ArgPat});
     }
 
-    const Pattern *Inst = Lib->Arena.instantiate(NP->Pat, Renames);
+    const Pattern *Inst = Lib->Arena.instantiate(NP->Pat, Renames, Names);
     for (const GuardExpr *FG : FunGuards)
       Inst = Lib->Arena.guarded(Inst, FG);
     for (const ComplexArg &CA : ComplexArgs)

@@ -233,7 +233,7 @@ PExpr PatternBuilder::lit(double Value) {
   // Matches the DSL's literal lowering: a fresh ∃-bound Const node with the
   // micro-scaled value.
   M.signature().getOrAddOp("Const", 0, 1, "const");
-  Symbol C = Symbol::fresh("lit");
+  Symbol C = M.Names.next("lit");
   int64_t Micro = static_cast<int64_t>(std::llround(Value * 1e6));
   const GuardExpr *Both = A.binary(
       GuardKind::And,

@@ -258,6 +258,8 @@ private:
   term::Signature &Sig;
   std::unique_ptr<pattern::Library> Lib;
   std::vector<Group> Groups;
+  /// Binder names for literals (FreshNames).
+  FreshNames Names;
 };
 
 } // namespace pypm::frontend

@@ -187,6 +187,13 @@ struct PatternArena::CloneEnv {
   /// The μ being unfolded; recursive calls to this name get rewrapped.
   Symbol Self;
   const MuPattern *Mu = nullptr;
+  /// The compile's binder minter (instantiate); null freshens with
+  /// Symbol::fresh (μ unfolding).
+  FreshNames *Names = nullptr;
+
+  Symbol fresh(Symbol S) const {
+    return Names ? Names->next(S.str()) : Symbol::fresh(S.str());
+  }
 
   Symbol renamed(Symbol S) const {
     auto It = Rename.find(S);
@@ -261,14 +268,14 @@ const Pattern *PatternArena::clone(const Pattern *P, CloneEnv &Env) {
     // do not collide on the same local-variable name, and so that an
     // incoming rename target cannot be captured.
     const auto *EP = cast<ExistsPattern>(P);
-    Symbol Fresh = Symbol::fresh(EP->var().str());
+    Symbol Fresh = Env.fresh(EP->var());
     CloneEnv Inner = Env;
     Inner.Rename[EP->var()] = Fresh;
     return exists(Fresh, clone(EP->sub(), Inner));
   }
   case PatternKind::ExistsFun: {
     const auto *EP = cast<ExistsFunPattern>(P);
-    Symbol Fresh = Symbol::fresh(EP->funVar().str());
+    Symbol Fresh = Env.fresh(EP->funVar());
     CloneEnv Inner = Env;
     Inner.Rename[EP->funVar()] = Fresh;
     return existsFun(Fresh, clone(EP->sub(), Inner));
@@ -340,9 +347,11 @@ PatternArena::importGuard(const GuardExpr *G,
 
 const Pattern *
 PatternArena::instantiate(const Pattern *P,
-                          const std::unordered_map<Symbol, Symbol> &Renames) {
+                          const std::unordered_map<Symbol, Symbol> &Renames,
+                          FreshNames &Names) {
   CloneEnv Env;
   Env.Rename = Renames;
+  Env.Names = &Names;
   // Env.Self stays invalid: recursive calls inside P (to *other* μs) pass
   // through untouched; ∃ binders are freshened by clone().
   return clone(P, Env);

@@ -376,12 +376,13 @@ public:
                                const std::function<bool(Symbol)> &IsFunVar);
 
   /// Clones \p P into this arena applying the variable/function-variable
-  /// renames in \p Renames and freshening every ∃ binder in the copy.
+  /// renames in \p Renames and freshening every ∃ binder in the copy
+  /// with a name from \p Names (the compile's minter).
   /// This is the instantiation step used when a pattern definition is
   /// inlined at a reference site (DSL lowering).
-  const Pattern *
-  instantiate(const Pattern *P,
-              const std::unordered_map<Symbol, Symbol> &Renames);
+  const Pattern *instantiate(const Pattern *P,
+                             const std::unordered_map<Symbol, Symbol> &Renames,
+                             FreshNames &Names);
 
   /// One-step unfolding of a μ pattern (ST-Match-Mu / P-Mu):
   ///   p' = p[μP(x̄)/P][yᵢ/xᵢ]

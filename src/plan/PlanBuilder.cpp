@@ -441,17 +441,24 @@ void PlanBuilder::buildTree(Program &P, const rewrite::RuleSet &Rules,
   P.CanonicalSig = signature(P);
 }
 
-/// Strips the `$<n>` suffixes Symbol::fresh appends (possibly stacked:
-/// "lit$7" freshened again by pattern instantiation becomes "lit$7$12").
-/// The counter behind them is process-global, so the raw spellings differ
-/// on every recompile of the very same rule set; the fingerprint must be
-/// α-invariant over generated names or no profile would ever rebind.
+/// Strips the `$<n>` suffixes Symbol::fresh appends and the `$c<n>` ones
+/// a compile's FreshNames mints (possibly stacked: "lit$c7" freshened
+/// again by μ unfolding becomes "lit$c7$12"). Symbol::fresh's counter is
+/// process-global, so its spellings differ on every recompile of the very
+/// same rule set; the fingerprint must be α-invariant over generated
+/// names or no profile would ever rebind, and it reads the same whichever
+/// of the two minted a name.
 static std::string_view stripFreshSuffixes(std::string_view S) {
   for (;;) {
     size_t Dollar = S.rfind('$');
-    if (Dollar == std::string_view::npos || Dollar + 1 == S.size())
+    if (Dollar == std::string_view::npos)
       return S;
-    for (size_t I = Dollar + 1; I != S.size(); ++I)
+    size_t Digits = Dollar + 1;
+    if (Digits != S.size() && S[Digits] == 'c')
+      ++Digits;
+    if (Digits == S.size())
+      return S;
+    for (size_t I = Digits; I != S.size(); ++I)
       if (S[I] < '0' || S[I] > '9')
         return S;
     S = S.substr(0, Dollar);

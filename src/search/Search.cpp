@@ -13,11 +13,14 @@
 //     quarantine counts, fault sites, per-pattern counters. It is
 //     bit-identical at any NumThreads because it never runs on a worker.
 //     It matches against the run's one incremental term view, which every
-//     commit's footprint keeps current.
+//     commit's footprint keeps current, and only at the nodes the last
+//     commit changed: every other node replays its recorded enumeration
+//     through the governed state (see "Phase 1" in SearchLoop).
 //
 //  2. SPECULATIVE EXPANSION (hermetic): apply each expanded candidate to
 //     the subject graph inside an exact undo scope (Graph::checkpoint),
-//     delta-cost it with sim::CostModel, and roll it back — serially, at
+//     delta-cost it with sim::CostModel, and roll it back — unless its
+//     level-1 price from an earlier step still stands (price()) — serially, at
 //     any NumThreads: measured on the zoo, pool workers each applying on a
 //     private copy per step were slower than this. The witness's variables
 //     resolve through the view's rooted resolution (TermView::nodeFor(t,
@@ -62,6 +65,7 @@
 #include <cassert>
 #include <chrono>
 #include <memory>
+#include <optional>
 
 using namespace pypm;
 using namespace pypm::search;
@@ -82,18 +86,19 @@ std::string entryName(const RewriteEntry &E) {
   return std::string(E.Pattern->Name.str());
 }
 
-/// First rule of \p E (starting at \p From) whose guard passes under \p W,
-/// or -1. \p OnGuardEval, when non-null, runs before each evaluation (the
-/// committed path hooks the fault injector here); exceptions propagate.
+/// First rule of \p E whose guard passes under \p W, or -1. \p GuardEvals,
+/// when non-null, counts the guard evaluations started (a throwing one
+/// included) — the committed path replays that many fault-injector guard
+/// hooks. Exceptions propagate.
 int firstPassingRule(const RewriteEntry &E, const match::Witness &W,
-                     const term::TermArena &Arena, size_t From,
-                     FaultInjector *Faults) {
+                     const term::TermArena &Arena,
+                     uint32_t *GuardEvals = nullptr) {
   match::SubstEnv Env(W.Theta, W.Phi, Arena);
-  for (size_t RI = From; RI != E.Rules.size(); ++RI) {
+  for (size_t RI = 0; RI != E.Rules.size(); ++RI) {
     const pattern::RewriteRule *R = E.Rules[RI];
     if (R->Guard) {
-      if (Faults)
-        Faults->onGuardEval();
+      if (GuardEvals)
+        ++*GuardEvals;
       if (!R->Guard->evalBool(Env).truthy())
         continue;
     }
@@ -142,7 +147,7 @@ void pypm::search::enumerateCandidates(graph::TermView &View,
         match::Witness W = M.witness();
         int RI;
         try {
-          RI = firstPassingRule(E, W, View.arena(), 0, nullptr);
+          RI = firstPassingRule(E, W, View.arena());
         } catch (...) {
           break; // hermetic: a throwing guard ends this entry's witnesses
         }
@@ -170,7 +175,8 @@ ApplyResult pypm::search::fireCandidate(Graph &G, const graph::TermView &View,
                                         const graph::ShapeInference &SI,
                                         const sim::CostModel &CM,
                                         FaultInjector *Faults,
-                                        graph::CommitFootprint *Footprint) {
+                                        graph::CommitFootprint *Footprint,
+                                        std::vector<NodeId> *Reads) {
   ApplyResult Res;
   const RewriteEntry &E = Rules.entries()[C.Entry];
   match::SubstEnv Env(W.Theta, W.Phi, View.arena());
@@ -191,13 +197,11 @@ ApplyResult pypm::search::fireCandidate(Graph &G, const graph::TermView &View,
     NodeId Rep = rewrite::buildRhs(G, View, R->Rhs, W, SI, Faults, C.Node);
     if (Rep == graph::InvalidNode)
       continue; // RHS build failed (unbound var); try next rule
-    // A kept footprint feeds View's invalidation, so its closure walk
-    // stops at nodes View never converted (TermView.h); a discarded one
-    // needs no closure at all.
+    // A kept footprint dirties the committed enumeration's per-node cache,
+    // which holds prefilter outcomes of nodes View never converted, so it
+    // walks the full closure; a discarded one needs no closure at all.
     graph::CommitFootprint F =
-        Footprint ? G.commitRewrite(
-                        C.Node, Rep, Base,
-                        [&View](NodeId U) { return View.memoized(U); })
+        Footprint ? G.commitRewrite(C.Node, Rep, Base)
                   : G.commitRewrite(C.Node, Rep, Base,
                                     [](NodeId) { return false; });
     Res.Swept = F.Swept.size();
@@ -215,6 +219,11 @@ ApplyResult pypm::search::fireCandidate(Graph &G, const graph::TermView &View,
         std::span<const NodeId>(F.Swept.data(), Priced - F.Swept.begin()));
     Res.Applied = true;
     Res.Replacement = Rep;
+    if (Reads) // the sweep frontier: see Search.h
+      for (NodeId N : F.Swept)
+        for (NodeId In : G.inputs(N))
+          if (In < Base)
+            Reads->push_back(In);
     if (Footprint)
       *Footprint = std::move(F);
     return Res;
@@ -228,11 +237,12 @@ ApplyResult pypm::search::speculateCandidate(Graph &G, graph::UndoLog &Log,
                                              const match::Witness &W,
                                              const RuleSet &Rules,
                                              const graph::ShapeInference &SI,
-                                             const sim::CostModel &CM) {
+                                             const sim::CostModel &CM,
+                                             std::vector<NodeId> *Reads) {
   ApplyResult R;
   G.checkpoint(Log);
   try {
-    R = fireCandidate(G, View, C, W, Rules, SI, CM);
+    R = fireCandidate(G, View, C, W, Rules, SI, CM, nullptr, nullptr, Reads);
   } catch (...) {
     R = ApplyResult(); // speculative fault: branch dropped
   }
@@ -245,7 +255,8 @@ ApplyResult pypm::search::applyCandidate(Graph &G, const Candidate &C,
                                          const graph::ShapeInference &SI,
                                          const sim::CostModel &CM,
                                          const match::Machine::Options &MO,
-                                         FaultInjector *Faults) {
+                                         FaultInjector *Faults,
+                                         std::vector<NodeId> *Reads) {
   const RewriteEntry &E = Rules.entries()[C.Entry];
   term::TermArena Arena(G.signature());
   graph::TermView View(G, Arena);
@@ -257,7 +268,8 @@ ApplyResult pypm::search::applyCandidate(Graph &G, const Candidate &C,
     return {}; // not reachable on a faithful clone; refuse rather than UB
   ApplyResult Res;
   try {
-    Res = fireCandidate(G, View, C, M.witness(), Rules, SI, CM, Faults);
+    Res = fireCandidate(G, View, C, M.witness(), Rules, SI, CM, Faults,
+                        nullptr, Reads);
   } catch (...) {
     // Transactional: the partial build only appended unreferenced nodes;
     // sweep them so the caller sees the pre-call graph.
@@ -345,6 +357,7 @@ public:
       // cancellation cooperatively; step/μ ceilings stay commit-order-only.
       MachineOpts.EngineBudget = Bgt;
     }
+    Matcher.emplace(Arena, MachineOpts);
     Faults = Opts.Faults ? Opts.Faults : FaultInjector::global();
     if (Opts.NumThreads >= 1)
       Pool = std::make_unique<ThreadPool>(Opts.NumThreads);
@@ -357,8 +370,8 @@ public:
     while (!halted()) {
       ++Stats.Passes;
       ++Stats.SearchSteps;
-      std::vector<Candidate> Cands;
-      std::vector<match::Witness> Wits;
+      Cands.clear();
+      Wits.clear();
       enumerateCommitted(Cands, Wits);
       if (halted() || Cands.empty())
         break;
@@ -380,7 +393,7 @@ public:
           break;
         continue;
       }
-      if (!commit(Cands[*Choice], Wits[*Choice]))
+      if (!commit(Cands[*Choice], Wits[*Choice]->W))
         continue; // absorbed fault: state rolled back, re-enumerate
       if (Stats.TotalFired >= Opts.MaxRewrites) {
         halt(BudgetReason::Rewrites);
@@ -516,140 +529,345 @@ private:
     return *Slot;
   }
 
-  /// Phase 1: the governed enumeration sweep (see file header). Appends
-  /// each candidate to \p Out and its witness to \p Wits.
-  void enumerateCommitted(std::vector<Candidate> &Out,
-                          std::vector<match::Witness> &Wits) {
-    const auto &Entries = Rules.entries();
-    const uint64_t Sweep = Stats.SearchSteps - 1; // fault-site "pass" id
+  //===--- Phase 1: the committed enumeration -----------------------------===//
+  //
+  // Two halves. RECORD (re)enumerates the dirty nodes — the last commit's
+  // full users-closure and appended nodes, every live node on the first
+  // step and after a global sweep — hermetically: prefilter, matcher runs,
+  // witness resumes and guard scans, with no budget charge, hook or stats
+  // update. Every other node's unrolling and prefilter outcome are
+  // unchanged since it was recorded, so its record stands. REPLAY then
+  // walks the live nodes in canonical order and replays each record
+  // through the governed state exactly as matching the node again would
+  // run it: the per-node poll, the attempt site, each charge, each guard
+  // hook, fuel quarantine and absorbed faults, at the same points.
+  // Its cost is the live nodes plus the recorded attempts and witnesses;
+  // root skips are settled per entry at the end of the step.
 
-    std::vector<uint8_t> Mask;
-    for (NodeId N = 0; N < G.numNodes(); ++N) {
-      if (G.isDead(N))
+  static constexpr uint32_t NoError = ~0u;
+
+  /// One witness of a recorded attempt: its guard scan, then the resume
+  /// that followed it, if any.
+  struct WitnessRec {
+    uint32_t GuardEvals = 0; ///< guard evaluations the scan started
+    int32_t Rule = -1;       ///< first passing rule; -1 = guard-rejected
+    uint32_t GuardError = NoError; ///< the scan's last evaluation threw
+    uint32_t Cand = 0;             ///< NodeRec::Cands slot (Rule >= 0)
+    bool Resumed = false;
+    MachineStatus ResumeStatus = MachineStatus::Failure;
+    uint32_t ResumeError = NoError;
+    uint64_t DSteps = 0, DMu = 0; ///< the resume's increments
+  };
+
+  /// One (node, entry) pair the prefilter admitted.
+  struct AttemptRec {
+    uint32_t Entry = 0;
+    MachineStatus Status = MachineStatus::Failure;
+    uint32_t Error = NoError; ///< the match threw
+    uint64_t Steps = 0, MuUnfolds = 0, Backtracks = 0;
+    double Seconds = 0.0;
+    uint32_t WitBegin = 0, WitEnd = 0; ///< into NodeRec::Wits
+  };
+
+  /// A recorded candidate: its witness and, once priced at level 1, its
+  /// priced outcome with its sweep frontier (fireCandidate's Reads). The
+  /// price stands while no commit since PricedAt changed a frontier node
+  /// (priceStands).
+  struct CandRec {
+    match::Witness W;
+    ApplyResult Price;
+    uint64_t PricedAt = 0; ///< the pricing step; 0 = not priced
+    std::vector<NodeId> Reads;
+  };
+
+  /// A live node's recorded enumeration. Its buffers keep their capacity
+  /// when the node is re-recorded.
+  struct NodeRec {
+    std::vector<AttemptRec> Atts;
+    std::vector<WitnessRec> Wits;
+    std::vector<CandRec> Cands;
+    uint64_t RecordedAt = 0; ///< the SearchSteps value of the recording
+  };
+
+  /// Indexed by NodeId; valid for every live node after refreshRecords.
+  std::vector<NodeRec> Recs;
+  /// Nodes to re-record (or, when dead, to free) at the next enumeration.
+  std::vector<NodeId> Dirty;
+  bool AllDirty = true;
+  /// Exception texts of recorded throws (the replay's fault messages).
+  std::vector<std::string> Errors;
+  std::vector<uint8_t> PrefilterMask;
+  /// The recording matcher, reused across attempts (match() resets it).
+  std::optional<match::FastMatcher> Matcher;
+  /// Per-step root-skip settlement: admitted pairs replayed per entry,
+  /// and whether the entry's skips are settled (or it is quarantined).
+  std::vector<uint64_t> Passed;
+  std::vector<uint8_t> Settled;
+  uint64_t ReplayVisited = 0; ///< live nodes the current replay reached
+  /// Per node: the step of the last commit that changed its user list or
+  /// output status (forEachUseChanged; 0 = none).
+  std::vector<uint64_t> ChangedAt;
+  /// The step's committed candidates and their records (which live in the
+  /// per-node cache); buffers reused across steps.
+  std::vector<Candidate> Cands;
+  std::vector<CandRec *> Wits;
+
+  uint32_t noteError(const char *What) {
+    Errors.emplace_back(What);
+    return static_cast<uint32_t>(Errors.size() - 1);
+  }
+
+  /// The text of the exception in flight.
+  static const char *inFlight() {
+    try {
+      throw;
+    } catch (const std::exception &Ex) {
+      return Ex.what();
+    } catch (...) {
+      return "unknown exception";
+    }
+  }
+
+  /// Records node \p N's enumeration (see above). Converts through the
+  /// run's view; a throwing matcher drops the view, which a conversion in
+  /// flight may have left partial.
+  void recordNode(NodeId N) {
+    NodeRec &R = Recs[N];
+    R.Atts.clear();
+    R.Wits.clear();
+    R.Cands.clear();
+    R.RecordedAt = Stats.SearchSteps;
+    ++Stats.NodesVisited;
+    const auto &Entries = Rules.entries();
+    const uint8_t *Cand = nullptr;
+    if (Plan) {
+      Plan->candidates(G, N, PrefilterMask);
+      Cand = PrefilterMask.data();
+    }
+    const unsigned MaxW = std::max(1u, Opts.SearchWitnesses);
+    for (size_t I = 0; I != Entries.size(); ++I) {
+      // Quarantine is monotone: an entry quarantined now is never
+      // replayed again.
+      if (Quarantined[I])
         continue;
-      if (shouldStop())
-        return;
-      ++Stats.NodesVisited;
-      const uint8_t *Cand = nullptr;
-      if (Plan) {
-        Plan->candidates(G, N, Mask);
-        Cand = Mask.data();
+      if (Cand ? !Cand[I]
+               : !RootFilters.empty() &&
+                     rootFilteredOut(RootFilters[I], G.op(N)))
+        continue;
+      const RewriteEntry &E = Entries[I];
+      AttemptRec &A = R.Atts.emplace_back();
+      A.Entry = static_cast<uint32_t>(I);
+      A.WitBegin = A.WitEnd = static_cast<uint32_t>(R.Wits.size());
+      double T0 = nowSeconds();
+      match::FastMatcher &M = *Matcher;
+      try {
+        A.Status = M.match(E.Pattern->Pat, View.termFor(N));
+      } catch (...) {
+        View.invalidate();
+        A.Error = noteError(inFlight());
+        continue;
       }
-      for (size_t I = 0; I != Entries.size(); ++I) {
-        if (halted())
-          return;
-        if (Quarantined[I])
-          continue;
-        const RewriteEntry &E = Entries[I];
-        PatternStats &PS = statsFor(I);
-        if (Cand ? !Cand[I]
-                 : !RootFilters.empty() &&
-                       rootFilteredOut(RootFilters[I], G.op(N))) {
-          ++PS.RootSkips;
-          continue;
-        }
-        double T0 = nowSeconds();
-        match::FastMatcher M(Arena, MachineOpts);
-        MachineStatus S;
-        try {
-          if (Faults && Faults->atAttemptSite(Sweep, N, I))
-            throw InjectedFault("injected fault: attempt site");
-          S = M.match(E.Pattern->Pat, View.termFor(N));
-        } catch (const std::exception &Ex) {
-          View.invalidate();
-          onAttemptFault(I, Ex.what());
-          continue;
-        } catch (...) {
-          View.invalidate();
-          onAttemptFault(I, "unknown exception");
-          continue;
-        }
-        ++PS.Attempts;
-        uint64_t SeenSteps = M.stats().Steps;
-        uint64_t SeenMu = M.stats().MuUnfolds;
-        PS.MachineSteps += SeenSteps;
-        PS.Backtracks += M.stats().Backtracks;
-        double Elapsed = nowSeconds() - T0;
-        PS.Seconds += Elapsed;
-        Stats.MatchSeconds += Elapsed;
-        chargeAttempt(SeenSteps, SeenMu);
-        if (halted())
-          return;
-        if (S != MachineStatus::Success) {
-          if (S == MachineStatus::OutOfFuel) {
-            ++PS.FuelExhausted;
-            noteFuelExhaust(I);
-          }
-          continue;
-        }
-        ++PS.Matches;
-        ++Stats.TotalMatches;
-        if (E.Rules.empty())
-          continue; // match-only entry
-        // Witness loop: enumerate up to SearchWitnesses witnesses; every
-        // witness with a passing rule guard is one candidate.
-        const unsigned MaxW = std::max(1u, Opts.SearchWitnesses);
+      A.Steps = M.stats().Steps;
+      A.MuUnfolds = M.stats().MuUnfolds;
+      A.Backtracks = M.stats().Backtracks;
+      if (A.Status == MachineStatus::Success && !E.Rules.empty())
         for (unsigned WI = 0;; ++WI) {
-          match::Witness W = M.witness();
-          int RI;
+          WitnessRec &W = R.Wits.emplace_back();
+          match::Witness Wit = M.witness();
           try {
-            RI = firstPassingRule(E, W, Arena, 0, Faults);
-          } catch (const std::exception &Ex) {
-            onAttemptFault(I, Ex.what());
-            break;
+            W.Rule = firstPassingRule(E, Wit, Arena, &W.GuardEvals);
           } catch (...) {
-            onAttemptFault(I, "unknown exception");
+            W.GuardError = noteError(inFlight());
             break;
           }
-          if (RI >= 0) {
-            Out.push_back(Candidate{N, static_cast<uint32_t>(I), WI,
-                                    static_cast<uint32_t>(RI)});
-            Wits.push_back(std::move(W));
-            ++Stats.SearchCandidates;
-          } else {
-            ++PS.GuardRejects;
+          if (W.Rule >= 0) {
+            W.Cand = static_cast<uint32_t>(R.Cands.size());
+            R.Cands.emplace_back().W = std::move(Wit);
           }
-          if (WI + 1 >= MaxW || halted())
+          if (WI + 1 >= MaxW)
             break;
-          double R0 = nowSeconds();
+          W.Resumed = true;
+          const uint64_t Steps0 = M.stats().Steps, Mu0 = M.stats().MuUnfolds;
           try {
-            S = M.resume();
-          } catch (const std::exception &Ex) {
-            View.invalidate();
-            onAttemptFault(I, Ex.what());
-            break;
+            W.ResumeStatus = M.resume();
           } catch (...) {
             View.invalidate();
-            onAttemptFault(I, "unknown exception");
+            W.ResumeError = noteError(inFlight());
             break;
           }
-          // Resume stats are cumulative; charge the increment only.
-          uint64_t DSteps = M.stats().Steps - SeenSteps;
-          uint64_t DMu = M.stats().MuUnfolds - SeenMu;
-          SeenSteps = M.stats().Steps;
-          SeenMu = M.stats().MuUnfolds;
-          PS.MachineSteps += DSteps;
-          double RElapsed = nowSeconds() - R0;
-          PS.Seconds += RElapsed;
-          Stats.MatchSeconds += RElapsed;
-          chargeAttempt(DSteps, DMu);
-          if (S != MachineStatus::Success) {
-            if (S == MachineStatus::OutOfFuel) {
-              ++PS.FuelExhausted;
-              noteFuelExhaust(I);
-            }
+          W.DSteps = M.stats().Steps - Steps0;
+          W.DMu = M.stats().MuUnfolds - Mu0;
+          if (W.ResumeStatus != MachineStatus::Success)
             break;
-          }
         }
+      A.WitEnd = static_cast<uint32_t>(R.Wits.size());
+      A.Seconds = nowSeconds() - T0;
+      Stats.MatchSeconds += A.Seconds;
+    }
+  }
+
+  /// RECORD: brings every live node's record up to date.
+  void refreshRecords() {
+    if (AllDirty) {
+      Recs.clear();
+      Dirty.clear();
+      for (NodeId N = 0; N < G.numNodes(); ++N)
+        if (!G.isDead(N))
+          Dirty.push_back(N);
+      AllDirty = false;
+    }
+    Recs.resize(G.numNodes());
+    std::sort(Dirty.begin(), Dirty.end());
+    Dirty.erase(std::unique(Dirty.begin(), Dirty.end()), Dirty.end());
+    for (NodeId N : Dirty) {
+      if (G.isDead(N))
+        Recs[N] = NodeRec(); // swept: never replayed again
+      else
+        recordNode(N);
+    }
+    Dirty.clear();
+  }
+
+  /// Adds the root skips of entry \p I over the \p Visited replayed nodes
+  /// that reached it while it was live (each was either skipped or one of
+  /// the Passed[I] replayed attempts) and closes its settlement for this
+  /// step. A PerPattern slot is made only for an entry some node reached.
+  void settleRootSkips(size_t I, uint64_t Visited) {
+    Settled[I] = 1;
+    if (Visited)
+      statsFor(I).RootSkips += Visited - Passed[I];
+  }
+
+  /// REPLAY of node \p N's record (see above); appends its candidates.
+  /// Returns the entry being replayed when the run halted inside the node,
+  /// or the entry count when the node completed.
+  size_t replayNode(NodeId N, uint64_t Sweep, std::vector<Candidate> &Out,
+                    std::vector<CandRec *> &Wits) {
+    const auto &Entries = Rules.entries();
+    NodeRec &R = Recs[N];
+    const bool Fresh = R.RecordedAt == Stats.SearchSteps;
+    for (const AttemptRec &A : R.Atts) {
+      const size_t I = A.Entry;
+      if (Quarantined[I])
+        continue;
+      replayAttempt(N, A, R, Fresh, Sweep, Out, Wits);
+      if (Quarantined[I] && !Settled[I])
+        settleRootSkips(I, ReplayVisited);
+      if (halted()) // halts happen inside attempts only
+        return I;
+    }
+    return Entries.size();
+  }
+
+  /// Replays one recorded attempt of node \p N: the body of the
+  /// enumeration's per-entry loop, with the record standing in for the
+  /// matcher, the witnesses' guard scans and the resumes.
+  void replayAttempt(NodeId N, const AttemptRec &A, NodeRec &R, bool Fresh,
+                     uint64_t Sweep, std::vector<Candidate> &Out,
+                     std::vector<CandRec *> &Wits) {
+    const size_t I = A.Entry;
+    ++Passed[I];
+    PatternStats &PS = statsFor(I);
+    // Nothing converts during a replay, so a fault here leaves the view
+    // intact (a recorded throw already dropped it when it happened).
+    if (Faults && Faults->atAttemptSite(Sweep, N, I)) {
+      onAttemptFault(I, "injected fault: attempt site");
+      return;
+    }
+    if (A.Error != NoError) {
+      onAttemptFault(I, Errors[A.Error].c_str());
+      return;
+    }
+    ++PS.Attempts;
+    PS.MachineSteps += A.Steps;
+    PS.Backtracks += A.Backtracks;
+    if (Fresh)
+      PS.Seconds += A.Seconds;
+    chargeAttempt(A.Steps, A.MuUnfolds);
+    if (halted())
+      return;
+    if (A.Status != MachineStatus::Success) {
+      if (A.Status == MachineStatus::OutOfFuel) {
+        ++PS.FuelExhausted;
+        noteFuelExhaust(I);
+      }
+      return;
+    }
+    ++PS.Matches;
+    ++Stats.TotalMatches;
+    for (uint32_t K = A.WitBegin; K != A.WitEnd; ++K) {
+      const WitnessRec &W = R.Wits[K];
+      if (Faults) {
+        try {
+          for (uint32_t GI = 0; GI != W.GuardEvals; ++GI)
+            Faults->onGuardEval();
+        } catch (...) {
+          onAttemptFault(I, inFlight());
+          return;
+        }
+      }
+      if (W.GuardError != NoError) {
+        onAttemptFault(I, Errors[W.GuardError].c_str());
+        return;
+      }
+      if (W.Rule >= 0) {
+        Out.push_back(Candidate{N, static_cast<uint32_t>(I), K - A.WitBegin,
+                                static_cast<uint32_t>(W.Rule)});
+        Wits.push_back(&R.Cands[W.Cand]);
+        ++Stats.SearchCandidates;
+      } else {
+        ++PS.GuardRejects;
+      }
+      if (!W.Resumed || halted())
+        return;
+      if (W.ResumeError != NoError) {
+        onAttemptFault(I, Errors[W.ResumeError].c_str());
+        return;
+      }
+      PS.MachineSteps += W.DSteps;
+      chargeAttempt(W.DSteps, W.DMu);
+      if (W.ResumeStatus != MachineStatus::Success) {
+        if (W.ResumeStatus == MachineStatus::OutOfFuel) {
+          ++PS.FuelExhausted;
+          noteFuelExhaust(I);
+        }
+        return;
       }
     }
   }
 
+  /// Phase 1 (see file header): the committed candidates of this step, in
+  /// canonical order, with their witnesses.
+  void enumerateCommitted(std::vector<Candidate> &Out,
+                          std::vector<CandRec *> &Wits) {
+    refreshRecords();
+    const size_t NumEntries = Rules.entries().size();
+    const uint64_t Sweep = Stats.SearchSteps - 1; // fault-site "pass" id
+    Passed.assign(NumEntries, 0);
+    Settled.assign(Quarantined.begin(), Quarantined.end());
+    ReplayVisited = 0;
+    size_t HaltEntry = NumEntries;
+    for (NodeId N = 0; N < G.numNodes(); ++N) {
+      if (G.isDead(N))
+        continue;
+      if (shouldStop())
+        break;
+      ++ReplayVisited;
+      HaltEntry = replayNode(N, Sweep, Out, Wits);
+      if (HaltEntry != NumEntries)
+        break;
+    }
+    // A halt inside a node stopped it after entry HaltEntry: later entries
+    // never reached that node.
+    for (size_t I = 0; I != NumEntries; ++I)
+      if (!Settled[I])
+        settleRootSkips(I, ReplayVisited - (I > HaltEntry));
+  }
+
   /// Phase 2: speculative expansion + ranking. Returns the index of the
   /// level-0 candidate to commit, or nullopt when nothing could build.
-  std::optional<uint32_t>
-  selectCandidate(const std::vector<Candidate> &L0,
-                  const std::vector<match::Witness> &W0) {
+  std::optional<uint32_t> selectCandidate(const std::vector<Candidate> &L0,
+                                          const std::vector<CandRec *> &W0) {
     const bool Beam = Opts.Search == SearchStrategy::Beam;
     const size_t ExpandN =
         Beam ? L0.size() : std::min<size_t>(Opts.BeamWidth, L0.size());
@@ -658,8 +876,7 @@ private:
     // subject.
     std::vector<BeamState> States;
     for (size_t K = 0; K != ExpandN; ++K) {
-      ApplyResult R =
-          speculateCandidate(G, Undo, View, L0[K], W0[K], Rules, SI, CM);
+      const ApplyResult &R = price(L0[K], *W0[K]);
       if (!R.Applied)
         continue;
       BeamState S;
@@ -667,13 +884,12 @@ private:
       S.Cost = RunningCost + R.CostDelta;
       States.push_back(std::move(S));
     }
-    Stats.SearchExpansions += ExpandN;
     if (States.empty())
       return std::nullopt;
     prune(States);
     if (Opts.Lookahead >= 2)
       materialize(States, [&](const BeamState &S) {
-        return branchOf(G, View, L0[S.FirstCand], W0[S.FirstCand]);
+        return branchOf(G, View, L0[S.FirstCand], W0[S.FirstCand]->W);
       });
 
     // Depths 2..Lookahead: BestOfN rolls each survivor forward greedily
@@ -744,6 +960,31 @@ private:
       States = std::move(Next);
     }
     return States.front().FirstCand;
+  }
+
+  /// Level-1 price of candidate \p C: the recorded one while it stands,
+  /// else a speculative fire on the subject, recorded with what it read.
+  /// Only a fire whose sweep was local is recorded (a global sweep reads
+  /// every node).
+  const ApplyResult &price(const Candidate &C, CandRec &CR) {
+    if (CR.PricedAt && priceStands(CR))
+      return CR.Price;
+    const bool Local = G.sweptClean();
+    CR.Reads.clear();
+    CR.Price = speculateCandidate(G, Undo, View, C, CR.W, Rules, SI, CM,
+                                  Local ? &CR.Reads : nullptr);
+    CR.PricedAt = Local && CR.Price.Applied ? Stats.SearchSteps : 0;
+    ++Stats.SearchExpansions;
+    return CR.Price;
+  }
+
+  /// A price recorded at step t stands while no commit of step t or later
+  /// changed a node it read (see DESIGN.md §"Cost-directed search").
+  bool priceStands(const CandRec &CR) const {
+    for (NodeId N : CR.Reads)
+      if (N < ChangedAt.size() && ChangedAt[N] >= CR.PricedAt)
+        return false;
+    return true;
   }
 
   /// A branch extending \p From (whose ids \p V resolves) by \p C. The
@@ -819,6 +1060,16 @@ private:
     Stats.SweepVisits += F.SweepVisits;
     Stats.FootprintNodes += F.size();
     View.invalidateNodes(F);
+    // The nodes whose records the commit made stale: the closure (changed
+    // unrollings), the appended nodes (no record yet) and the swept ones
+    // (freed at the next enumeration).
+    Dirty.insert(Dirty.end(), F.Closure.begin(), F.Closure.end());
+    for (NodeId N = F.NewBegin; N < F.NewEnd; ++N)
+      Dirty.push_back(N);
+    Dirty.insert(Dirty.end(), F.Swept.begin(), F.Swept.end());
+    ChangedAt.resize(G.numNodes(), 0);
+    forEachUseChanged(G, F, R.Replacement,
+                      [&](NodeId N) { ChangedAt[N] = Stats.SearchSteps; });
     noteCommit(C, R);
     return true;
   }
@@ -826,21 +1077,23 @@ private:
   /// Transactional rollback of a failed commit: the partial build only
   /// appended nodes nothing references, so a global sweep restores the
   /// last committed state. The sweep may kill memoized nodes, so the view
-  /// is dropped.
+  /// is dropped, and every record is redone at the next enumeration (not
+  /// here: the step's witnesses live in the records).
   void rollbackPartialBuild() {
     G.removeUnreachable();
     Stats.SweepVisits += G.numNodes();
     View.invalidate();
+    AllDirty = true;
   }
 
   /// Greedy fallback when no scored candidate could build: fire the first
   /// candidate (canonical order) that applies. Returns false at fixpoint.
   bool commitFirstBuildable(const std::vector<Candidate> &Cands,
-                            const std::vector<match::Witness> &Wits) {
+                            const std::vector<CandRec *> &Wits) {
     for (size_t I = 0; I != Cands.size(); ++I) {
       if (halted())
         return false;
-      if (commit(Cands[I], Wits[I]))
+      if (commit(Cands[I], Wits[I]->W))
         return true;
       if (halted())
         return false;

@@ -27,7 +27,10 @@
 /// footprint, and speculation only reads it, resolving each witness
 /// through the view's rooted resolution (TermView::nodeFor(t, root)),
 /// which answers exactly what a view converted cold from the candidate's
-/// root would. Determinism at any NumThreads: the committed path
+/// root would. Each step re-enumerates only the nodes the last commit
+/// changed and replays every other node's recorded enumeration through
+/// the governed state; a level-1 price is reused while no commit touches
+/// its sweep frontier. Determinism at any NumThreads: the committed path
 /// (enumeration, budget charges, quarantine counts, fault sites, the
 /// commits themselves) and level-1 pricing on the subject are strictly
 /// serial in canonical candidate order; pool workers only expand the
@@ -110,13 +113,14 @@ struct ApplyResult {
 /// speculation passes nullptr — speculation is hermetic by contract).
 /// Exceptions from guards/builders propagate to the caller AFTER the
 /// partial build has been rolled back (the graph is back to its pre-call
-/// state).
+/// state). \p Reads as in fireCandidate.
 ApplyResult applyCandidate(graph::Graph &G, const Candidate &C,
                            const rewrite::RuleSet &Rules,
                            const graph::ShapeInference &SI,
                            const sim::CostModel &CM,
                            const match::Machine::Options &MO = {},
-                           FaultInjector *Faults = nullptr);
+                           FaultInjector *Faults = nullptr,
+                           std::vector<graph::NodeId> *Reads = nullptr);
 
 /// Fires \p C under its witness \p W (from enumerateCandidates(View, …))
 /// on \p G: build the RHS, commit, delta-cost. Witness variables resolve
@@ -125,27 +129,53 @@ ApplyResult applyCandidate(graph::Graph &G, const Candidate &C,
 /// concurrent calls on distinct graphs may share it. When no rule builds,
 /// or a guard or builder throws, the partial build and any failed-rule
 /// orphans stay in G — the caller rolls back. \p Footprint, when
-/// non-null, receives the commit's footprint for \p View's invalidation:
-/// its closure is cut to the nodes View has memoized. Without it the
-/// commit walks no closure. \p Faults as in applyCandidate.
+/// non-null, receives the commit's footprint with its full users-closure.
+/// Without it the commit walks no closure. \p Faults as in applyCandidate.
+/// \p Reads, when non-null and the fire applies, receives its sweep
+/// frontier: the pre-existing inputs of the nodes it swept. Those are the
+/// only pre-existing nodes whose mutable state — user list, output status
+/// — the priced outcome depends on; see DESIGN.md §"Cost-directed search"
+/// for why the search may reuse the price while no commit changes them.
 ApplyResult fireCandidate(graph::Graph &G, const graph::TermView &View,
                           const Candidate &C, const match::Witness &W,
                           const rewrite::RuleSet &Rules,
                           const graph::ShapeInference &SI,
                           const sim::CostModel &CM,
                           FaultInjector *Faults = nullptr,
-                          graph::CommitFootprint *Footprint = nullptr);
+                          graph::CommitFootprint *Footprint = nullptr,
+                          std::vector<graph::NodeId> *Reads = nullptr);
 
 /// The search's speculation primitive: fireCandidate (no faults) inside
 /// an undo scope journaled in \p Log, then rollback. Returns the priced
 /// outcome — equal to applyCandidate's on a fresh copy of G — and leaves
 /// G exactly as it was. A throwing guard or builder yields !Applied.
+/// \p Reads as in fireCandidate.
 ApplyResult speculateCandidate(graph::Graph &G, graph::UndoLog &Log,
                                const graph::TermView &View,
                                const Candidate &C, const match::Witness &W,
                                const rewrite::RuleSet &Rules,
                                const graph::ShapeInference &SI,
-                               const sim::CostModel &CM);
+                               const sim::CostModel &CM,
+                               std::vector<graph::NodeId> *Reads = nullptr);
+
+/// Calls \p Visit on every node whose user list or output status the
+/// committed fire with footprint \p F and replacement \p Replacement
+/// changed (ids may repeat): the root and the replacement, between which
+/// uses and outputs moved, and the inputs of the swept nodes (users lost)
+/// and of the appended ones (users gained). A price whose Reads
+/// (fireCandidate) miss all of them stands after the commit.
+template <typename VisitFn>
+void forEachUseChanged(const graph::Graph &G, const graph::CommitFootprint &F,
+                       graph::NodeId Replacement, VisitFn Visit) {
+  Visit(F.Root);
+  Visit(Replacement);
+  for (graph::NodeId N : F.Swept)
+    for (graph::NodeId In : G.inputs(N))
+      Visit(In);
+  for (graph::NodeId N = F.NewBegin; N < F.NewEnd; ++N)
+    for (graph::NodeId In : G.inputs(N))
+      Visit(In);
+}
 
 /// The cost-directed rewrite loop. rewriteToFixpoint dispatches here when
 /// Opts.Search != Greedy and Lookahead >= 1 and BeamWidth >= 1 (the

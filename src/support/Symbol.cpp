@@ -77,6 +77,13 @@ Symbol Symbol::fresh(std::string_view Base) {
   }
 }
 
+Symbol FreshNames::next(std::string_view Base) {
+  std::string Name(Base);
+  Name += "$c";
+  Name += std::to_string(Counter++);
+  return Symbol::intern(Name);
+}
+
 std::string_view Symbol::str() const {
   InternTable &T = table();
   std::shared_lock<std::shared_mutex> Lock(T.Mutex);

@@ -63,6 +63,22 @@ private:
   uint32_t Id;
 };
 
+/// Binder names minted by one compile (DSL sema, a ModuleBuilder):
+/// "<Base>$c<n>" with n counting from 0 per minter. Compiling the same
+/// source again mints the same spellings, so a long-running process that
+/// compiles rule sets interns no new symbols for them (Symbol::fresh's
+/// process-wide counter would intern new ones on every compile). The `$c`
+/// suffix cannot be a Symbol::fresh spelling (those end in `$<digits>`),
+/// DSL identifiers cannot contain `$`, and one minter never repeats a name,
+/// so a minted binder captures nothing within its compile.
+class FreshNames {
+public:
+  Symbol next(std::string_view Base);
+
+private:
+  uint32_t Counter = 0;
+};
+
 } // namespace pypm
 
 template <> struct std::hash<pypm::Symbol> {

@@ -129,9 +129,11 @@ TEST_F(PatternTest, InstantiateRenamesAndFreshens) {
   Symbol X = Symbol::intern("x"), W = Symbol::intern("w"),
          Y = Symbol::intern("y");
   const Pattern *P = PA.exists(Y, app("F", {v("x")}));
-  const Pattern *Inst = PA.instantiate(P, {{X, W}});
+  FreshNames Names;
+  const Pattern *Inst = PA.instantiate(P, {{X, W}}, Names);
   const auto *E = cast<ExistsPattern>(Inst);
   EXPECT_NE(E->var(), Y); // binder freshened
+  EXPECT_EQ(E->var().str(), "y$c0"); // by the compile's minter
   const auto *App = cast<AppPattern>(E->sub());
   EXPECT_EQ(cast<VarPattern>(App->children()[0])->name(), W);
 }

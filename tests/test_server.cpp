@@ -28,6 +28,8 @@
 #include "analysis/CriticalPairs.h"
 #include "graph/GraphIO.h"
 #include "models/Transformers.h"
+#include "models/Zoo.h"
+#include "opt/StdPatterns.h"
 #include "plan/PlanBuilder.h"
 #include "plan/PlanSerializer.h"
 #include "support/FaultInjection.h"
@@ -843,6 +845,61 @@ TEST(ServerCache, SidecarIndexColdStartAndCorruptionLadder) {
 //===----------------------------------------------------------------------===//
 // Sticky quarantine (opt-in)
 //===----------------------------------------------------------------------===//
+
+/// The FMHA + Epilog rule sets as one DSL payload: an `op` line per
+/// operator models::declareModelOps declares, in its order, so the
+/// compiled Σ matches the model graphs'.
+std::string stdPayload() {
+  term::Signature Sig;
+  models::declareModelOps(Sig);
+  std::string Out;
+  for (const term::OpInfo &I : Sig.ops()) {
+    Out += "op " + std::string(I.Name.str()) + "(" +
+           std::to_string(I.Arity) + ")";
+    if (I.Results != 1)
+      Out += " -> " + std::to_string(I.Results);
+    if (I.OpClass.isValid())
+      Out += " class(\"" + std::string(I.OpClass.str()) + "\")";
+    if (!I.AttrNames.empty()) {
+      Out += " attrs(";
+      for (size_t A = 0; A != I.AttrNames.size(); ++A)
+        Out += (A ? ", " : "") + std::string(I.AttrNames[A].str());
+      Out += ")";
+    }
+    Out += ";\n";
+  }
+  return Out + std::string(opt::fmhaSource()) +
+         std::string(opt::epilogSource());
+}
+
+/// A long-running daemon compiles rule sets again and again. The binder
+/// names a compile mints for literals and inlined parameters repeat from
+/// one compile of the same bytes to the next, so the process-wide intern
+/// table stops growing after the first compile (it grew by 6 symbols per
+/// compile of this payload while those names came from Symbol::fresh).
+/// Every request gets a fresh server, hence a cold plan cache and a real
+/// compile.
+TEST(ServerInterning, RecompilingTheSameBytesInternsNothing) {
+  term::Signature GraphSig;
+  RewriteRequest R;
+  R.RuleSet = stdPayload();
+  R.GraphText = graph::writeGraphText(*models::hfSuite().front().Build(GraphSig));
+  ServerOptions O;
+  O.Workers = 1;
+  {
+    Server Srv(O);
+    RewriteReply Rep = Srv.handle(R);
+    ASSERT_EQ(Rep.Status, ServerStatus::Ok) << Rep.Message;
+    ASSERT_GT(Rep.Fired, 0u);
+  }
+  const uint32_t Before = Symbol::intern("server-interning-probe-a").rawId();
+  for (int I = 0; I != 100; ++I) {
+    Server Srv(O);
+    ASSERT_EQ(Srv.handle(R).Status, ServerStatus::Ok);
+    ASSERT_EQ(Srv.cache().stats().Compiles, 1u);
+  }
+  EXPECT_EQ(Symbol::intern("server-interning-probe-b").rawId(), Before + 1);
+}
 
 TEST(ServerQuarantine, PreQuarantinedEntriesAreSilentlyDisabled) {
   // Engine-level contract for the carry-over: a pre-quarantined pattern

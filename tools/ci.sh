@@ -172,16 +172,18 @@ echo "=== daemon-sweep benchmark (smoke) ==="
 # expand the survivors' private copies while reading the run's one view
 # and arena, and concurrent auto requests race for one entry's
 # certificate, which is exactly the isolation boundary a race would
-# cross. The threaded legs run search at threads 2 and 4. (Tier-1
-# members ran in ctest above; the filtered re-runs keep the search legs
-# greppable.)
+# cross. The threaded legs run search at threads 2 and 4. Both legs also
+# run the naive reference search (*SearchNaiveReference*, whose zoo
+# instances carry a Zoo/ prefix) against the per-node enumeration cache
+# and its kept prices. (Tier-1 members ran in ctest above; the filtered
+# re-runs keep the search legs greppable.)
 echo "=== cost-directed search suites under ASan/UBSan ==="
 ./build-ci-asan/tests/pypm_tests \
-  --gtest_filter='Search*:CostModel.*:GraphUndo.*:ServerConfluence.*'
+  --gtest_filter='Search*:*SearchNaiveReference*:CostModel.*:GraphUndo.*:ServerConfluence.*'
 
 echo "=== cost-directed search suites under TSan ==="
 ./build-ci-tsan/tests/pypm_tests \
-  --gtest_filter='SearchConflictTest.*:SearchStress*:SearchSpeculation.*:SearchWorkGate.*:ServerConfluence.*'
+  --gtest_filter='SearchConflictTest.*:SearchStress*:SearchSpeculation.*:SearchWorkGate.*:*SearchNaiveReference*:ServerConfluence.*'
 
 # Search sweep (smoke): the beam must strictly beat greedy modeled cost
 # on the conflict ladder and match it on the confluent zoo — the sweep
