@@ -189,7 +189,7 @@ size_t Graph::numLiveNodes() const {
   return Count;
 }
 
-size_t Graph::removeUnreachable(std::vector<NodeId> *SweptIds) {
+std::vector<char> Graph::reachableFromOutputs() const {
   std::vector<char> Reachable(Nodes.size(), 0);
   std::vector<NodeId> Stack(Outputs.begin(), Outputs.end());
   while (!Stack.empty()) {
@@ -201,6 +201,25 @@ size_t Graph::removeUnreachable(std::vector<NodeId> *SweptIds) {
     for (NodeId In : Nodes[N].Inputs)
       Stack.push_back(In);
   }
+  return Reachable;
+}
+
+bool Graph::noteSweptIfClean() {
+  assert(!Scope.Log && "sweep bookkeeping outside undo scopes only");
+  std::vector<char> Reachable = reachableFromOutputs();
+  for (NodeId N = 0; N != Nodes.size(); ++N) {
+    if (!Nodes[N].Dead && !Reachable[N])
+      return false; // removeUnreachable would kill N
+    for (NodeId User : Users[N])
+      if (Nodes[User].Dead)
+        return false; // ... or prune N's user list
+  }
+  noteSwept();
+  return true;
+}
+
+size_t Graph::removeUnreachable(std::vector<NodeId> *SweptIds) {
+  std::vector<char> Reachable = reachableFromOutputs();
   size_t Swept = 0;
   for (NodeId N = 0; N != Nodes.size(); ++N) {
     if (Reachable[N] || Nodes[N].Dead)

@@ -238,6 +238,14 @@ public:
   /// last sweep, so commitRewrite may sweep locally (see there).
   bool sweptClean() const { return SweptClean && Outputs == SweptOutputs; }
 
+  /// Records the graph as fully swept when a sweep would change nothing —
+  /// every live node is reachable from the outputs and no user list names
+  /// a dead node — so the next commitRewrite may sweep locally. Returns
+  /// whether it did; a graph with orphans is left untouched. Bookkeeping
+  /// only: removeUnreachable on such a graph edits nothing either. Not
+  /// inside an undo scope.
+  bool noteSweptIfClean();
+
   /// Opens an exact undo scope journaling into \p Log (scopes do not
   /// nest). Until rollback(), every mutation — addNode, replaceAllUses,
   /// commitRewrite (redirect and local sweep), removeUnreachable, output
@@ -311,6 +319,8 @@ private:
   }
   void redirectUses(NodeId From, NodeId To, NodeId SkipUsersFrom);
   bool isOutput(NodeId N) const;
+  /// Per node slot: 1 when reachable from the outputs.
+  std::vector<char> reachableFromOutputs() const;
   void noteSwept();
   /// Opens a fresh closure walk: every mark reads "unseen".
   void beginWalk();

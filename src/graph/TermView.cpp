@@ -12,10 +12,14 @@ term::TermRef TermView::termFor(NodeId N) {
   if (memoized(N))
     return NodeToTerm[N];
 
-  std::vector<term::TermRef> Children;
-  Children.reserve(G.inputs(N).size());
-  for (NodeId In : G.inputs(N))
-    Children.push_back(termFor(In));
+  // Each input's term is pushed once its own conversion has returned, so
+  // N's children end up contiguous above Base.
+  std::span<const NodeId> Ins = G.inputs(N);
+  const size_t Base = ChildScratch.size();
+  for (NodeId In : Ins) {
+    term::TermRef C = termFor(In);
+    ChildScratch.push_back(C);
+  }
 
   // Tensor-type attributes first, then the node's own operator attributes.
   static const Symbol EltType = Symbol::intern("elt_type");
@@ -26,25 +30,37 @@ term::TermRef TermView::termFor(NodeId N) {
       Symbol::intern("dim6"), Symbol::intern("dim7")};
 
   const TensorType &Ty = G.type(N);
-  std::vector<term::Attr> Attrs;
-  Attrs.reserve(Ty.rank() + 2 + G.attrs(N).size());
-  Attrs.push_back({EltType, static_cast<int64_t>(Ty.Dtype)});
-  Attrs.push_back({Rank, static_cast<int64_t>(Ty.rank())});
-  for (unsigned I = 0; I < Ty.rank() && I < 8; ++I)
-    Attrs.push_back({DimKeys[I], Ty.Dims[I]});
-  for (const term::Attr &A : G.attrs(N))
-    Attrs.push_back(A);
+  std::span<const term::Attr> OpAttrs = G.attrs(N);
+  const unsigned Dims = std::min(Ty.rank(), 8u);
+  AttrScratch.clear();
+  AttrScratch.push_back({EltType, static_cast<int64_t>(Ty.Dtype)});
+  AttrScratch.push_back({Rank, static_cast<int64_t>(Ty.rank())});
+  for (unsigned I = 0; I < Dims; ++I)
+    AttrScratch.push_back({DimKeys[I], Ty.Dims[I]});
+  AttrScratch.insert(AttrScratch.end(), OpAttrs.begin(), OpAttrs.end());
 
-  term::TermRef T =
-      Arena.make(G.op(N), std::span<const term::TermRef>(Children), Attrs);
+  term::TermRef T = Arena.make(
+      G.op(N),
+      std::span<const term::TermRef>(ChildScratch.data() + Base, Ins.size()),
+      AttrScratch);
+  ChildScratch.resize(Base);
   ++Conversions;
   if (NodeToTerm.size() <= N)
     NodeToTerm.resize(G.numNodes(), nullptr);
   NodeToTerm[N] = T;
+  if (RepOf.size() <= T->index())
+    RepOf.resize(Arena.numTerms());
   // Keep the first-converted representative; later nodes with the same
   // term queue up behind it.
-  if (!TermToNode.emplace(T, N).second)
-    Shadowed[T].push_back(N);
+  RepEntry &E = RepOf[T->index()];
+  if (E.Rep == InvalidNode) {
+    E.Rep = E.Last = N;
+  } else {
+    if (NextTwin.size() < G.numNodes())
+      NextTwin.resize(G.numNodes(), InvalidNode);
+    NextTwin[E.Last] = N;
+    E.Last = N;
+  }
   return T;
 }
 
@@ -53,26 +69,31 @@ void TermView::dropNode(NodeId N) {
     return;
   term::TermRef T = NodeToTerm[N];
   NodeToTerm[N] = nullptr;
-  auto Sh = Shadowed.find(T);
-  auto Rep = TermToNode.find(T);
-  assert(Rep != TermToNode.end() && "memoized term without representative");
-  if (Rep->second != N) {
-    // A shadowed node: just leave the queue.
-    auto &Q = Sh->second;
-    Q.erase(std::find(Q.begin(), Q.end(), N));
-    if (Q.empty())
-      Shadowed.erase(Sh);
+  RepEntry &E = RepOf[T->index()];
+  assert(E.Rep != InvalidNode && "memoized term without representative");
+  if (E.Rep == N) {
+    // The representative goes: the next-converted survivor, if any, takes
+    // over.
+    if (E.Last == N)
+      E = RepEntry();
+    else
+      E.Rep = NextTwin[N];
     return;
   }
-  if (Sh == Shadowed.end()) {
-    TermToNode.erase(Rep);
-    return;
-  }
-  // The representative goes: the next-converted survivor takes over.
-  Rep->second = Sh->second.front();
-  Sh->second.erase(Sh->second.begin());
-  if (Sh->second.empty())
-    Shadowed.erase(Sh);
+  // A shadowed twin: unlink it from its term's chain.
+  NodeId Prev = E.Rep;
+  while (NextTwin[Prev] != N)
+    Prev = NextTwin[Prev];
+  NextTwin[Prev] = NextTwin[N];
+  if (E.Last == N)
+    E.Last = Prev;
+}
+
+void TermView::invalidate() {
+  for (term::TermRef T : NodeToTerm)
+    if (T)
+      RepOf[T->index()] = RepEntry();
+  NodeToTerm.clear();
 }
 
 void TermView::invalidateNodes(const CommitFootprint &F) {
@@ -85,13 +106,16 @@ void TermView::invalidateNodes(const CommitFootprint &F) {
 }
 
 NodeId TermView::nodeFor(term::TermRef T) const {
-  auto It = TermToNode.find(T);
-  return It == TermToNode.end() ? InvalidNode : It->second;
+  if (T->index() >= RepOf.size())
+    return InvalidNode;
+  NodeId Rep = RepOf[T->index()].Rep;
+  return Rep != InvalidNode && NodeToTerm[Rep] == T ? Rep : InvalidNode;
 }
 
 NodeId TermView::nodeFor(term::TermRef T, NodeId Root) const {
-  if (!Shadowed.count(T))
-    return nodeFor(T);
+  NodeId Rep = nodeFor(T);
+  if (Rep == InvalidNode || RepOf[T->index()].Last == Rep)
+    return Rep;
   // Twins: walk Root's cone in DFS preorder (inputs left to right). The
   // first node reached with term T is also the first one a post-order
   // conversion finishes: every node finished before it was reached first,

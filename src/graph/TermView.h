@@ -42,6 +42,17 @@
 /// with the same term, so nodeFor never answers with a dead node or one
 /// whose unrolling changed.
 ///
+/// Tables. All three are plain vectors, so a conversion, a drop and both
+/// nodeFor lookups hash nothing and, once the vectors have grown, allocate
+/// nothing: NodeToTerm is indexed by NodeId; RepOf by Term::index() holds
+/// each term's representative and its last-converted memoized node; and
+/// NextTwin, by NodeId, chains a term's memoized nodes in conversion
+/// order. A term has twins exactly when its representative is not also its
+/// last node — the one check the rare twin paths (unlinking a shadowed
+/// node, promotion, the rooted walk) hide behind. A term from another
+/// arena can share an index() with one of this view's terms, so every
+/// lookup confirms NodeToTerm[Rep] == T and answers InvalidNode otherwise.
+///
 /// The committer may cut the closure walk to memoized() nodes
 /// (Graph::commitRewrite's descend predicate): because the memo is
 /// downward closed, a user that is not memoized has no memoized user, so
@@ -57,7 +68,7 @@
 #include "graph/Graph.h"
 #include "term/Term.h"
 
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 namespace pypm::graph {
@@ -84,11 +95,7 @@ public:
 
   /// Drops all memoized conversions (after a mutation other than a
   /// committed rewrite).
-  void invalidate() {
-    NodeToTerm.clear();
-    TermToNode.clear();
-    Shadowed.clear();
-  }
+  void invalidate();
 
   /// Drops the conversions a committed rewrite made stale: its
   /// users-closure (full, or cut to memoized() nodes) and its swept
@@ -104,6 +111,13 @@ public:
   const term::TermArena &arena() const { return Arena; }
 
 private:
+  /// A term's memoized nodes in conversion order: Rep first, Last last,
+  /// linked through NextTwin. Both InvalidNode when none is memoized.
+  struct RepEntry {
+    NodeId Rep = InvalidNode;
+    NodeId Last = InvalidNode;
+  };
+
   void dropNode(NodeId N);
 
   const Graph &G;
@@ -111,12 +125,16 @@ private:
   /// Node -> its memoized term, or null; indexed by NodeId and grown on
   /// conversion.
   std::vector<term::TermRef> NodeToTerm;
-  /// Term -> representative: the first-converted memoized node.
-  std::unordered_map<term::TermRef, NodeId> TermToNode;
-  /// Term -> the other memoized nodes with that term, in conversion order
-  /// (only for terms hash-consing merged; empty for almost every term).
-  /// Lets dropNode promote a surviving node when the representative goes.
-  std::unordered_map<term::TermRef, std::vector<NodeId>> Shadowed;
+  /// Term::index() -> the term's representative (its first-converted
+  /// memoized node) and last-converted memoized node.
+  std::vector<RepEntry> RepOf;
+  /// Node -> the next-converted memoized node with the same term; read only
+  /// for nodes that are not their term's Last.
+  std::vector<NodeId> NextTwin;
+  /// Conversion scratch, reused across calls: termFor stacks each node's
+  /// children in ChildScratch and assembles its attributes in AttrScratch.
+  std::vector<term::TermRef> ChildScratch;
+  std::vector<term::Attr> AttrScratch;
   uint64_t Conversions = 0;
 };
 

@@ -365,6 +365,10 @@ public:
 
   RewriteStats run() {
     double Start = nowSeconds();
+    // A graph with no orphans is fully swept already: noting so lets the
+    // first step's fires sweep locally, and so keep their prices, instead
+    // of each falling back to a whole-graph sweep.
+    G.noteSweptIfClean();
     Stats.ModeledCostBefore = CM.graphCost(G).Seconds;
     RunningCost = Stats.ModeledCostBefore;
     while (!halted()) {

@@ -3,6 +3,9 @@
 #include "sim/CostModel.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
+#include <utility>
 
 using namespace pypm;
 using namespace pypm::sim;
@@ -25,6 +28,69 @@ double matmulFlops(const TensorType &A, const TensorType &Out) {
   return 2.0 * elems(Out) * K;
 }
 
+/// The kernel classes nodeCost prices with a dedicated branch.
+enum class KernelClass {
+  Generic, // untuned elementwise fallback
+  MatMul,
+  GemmEpilog,
+  Cublas,
+  Fmha,
+  Conv2D,
+  ConvEpilog,
+  Softmax,
+  Norm,
+  Trans,
+  Gelu,
+  Erf,
+  Pool,
+  Metadata,
+  Fused, // any operator of class "fused"
+};
+
+/// The one list of operators with a dedicated cost: nodeCost dispatches on
+/// it, hasSpecializedCost answers from it.
+constexpr std::pair<std::string_view, KernelClass> KernelOps[] = {
+    {"MatMul", KernelClass::MatMul},
+    {"GemmEpilog", KernelClass::GemmEpilog},
+    {"GemmBiasEpilog", KernelClass::GemmEpilog},
+    {"cublasMM_xyT_f32", KernelClass::Cublas},
+    {"cublasMM_xyT_i8", KernelClass::Cublas},
+    {"FMHA", KernelClass::Fmha},
+    {"FMHAMasked", KernelClass::Fmha},
+    {"Conv2D", KernelClass::Conv2D},
+    {"ConvEpilog", KernelClass::ConvEpilog},
+    {"Softmax", KernelClass::Softmax},
+    {"LayerNorm", KernelClass::Norm},
+    {"BatchNorm", KernelClass::Norm},
+    {"Trans", KernelClass::Trans},
+    {"Gelu", KernelClass::Gelu},
+    {"Erf", KernelClass::Erf},
+    {"MaxPool", KernelClass::Pool},
+    {"AvgPool", KernelClass::Pool},
+    {"GlobalAvgPool", KernelClass::Pool},
+    {"Flatten", KernelClass::Metadata},
+    {"Reshape", KernelClass::Metadata}};
+constexpr std::string_view FusedClass = "fused";
+constexpr size_t NumKernelOps = std::size(KernelOps);
+
+/// The kernel class of operator \p Name of class \p Class, by interned
+/// symbol: the spellings are interned once (a thread-safe static), then
+/// each query compares 32-bit ids only, so concurrent const pricing
+/// shares the table read-only.
+KernelClass kernelOf(Symbol Name, Symbol Class) {
+  static const auto Syms = [] {
+    std::array<Symbol, NumKernelOps> Out;
+    for (size_t I = 0; I != NumKernelOps; ++I)
+      Out[I] = Symbol::intern(KernelOps[I].first);
+    return Out;
+  }();
+  static const Symbol Fused = Symbol::intern(FusedClass);
+  for (size_t I = 0; I != NumKernelOps; ++I)
+    if (Syms[I] == Name)
+      return KernelOps[I].second;
+  return Class == Fused ? KernelClass::Fused : KernelClass::Generic;
+}
+
 } // namespace
 
 double CostModel::roofline(double Flops, double Bytes,
@@ -36,17 +102,10 @@ double CostModel::roofline(double Flops, double Bytes,
 
 bool CostModel::hasSpecializedCost(std::string_view OpName,
                                    std::string_view OpClass) {
-  // Mirrors the branch chain in nodeCost below; keep the two in sync.
-  static constexpr std::string_view Known[] = {
-      "MatMul",  "GemmEpilog", "GemmBiasEpilog", "cublasMM_xyT_f32",
-      "cublasMM_xyT_i8", "FMHA", "FMHAMasked",   "Conv2D",
-      "ConvEpilog", "Softmax",  "LayerNorm",     "BatchNorm",
-      "Trans",   "Gelu",       "Erf",            "MaxPool",
-      "AvgPool", "GlobalAvgPool", "Flatten",     "Reshape"};
-  for (std::string_view K : Known)
-    if (OpName == K)
+  for (const auto &[Name, K] : KernelOps)
+    if (OpName == Name)
       return true;
-  return OpClass == "fused";
+  return OpClass == FusedClass;
 }
 
 KernelCost CostModel::nodeCost(const Graph &G, NodeId N) const {
@@ -55,9 +114,7 @@ KernelCost CostModel::nodeCost(const Graph &G, NodeId N) const {
     return C; // leaves (Input/Weight/Const) are resident, no kernel
 
   const term::Signature &Sig = G.signature();
-  std::string_view Op = Sig.name(G.op(N)).str();
-  Symbol Class = Sig.opClass(G.op(N));
-  std::string_view Cls = Class.isValid() ? Class.str() : std::string_view();
+  const KernelClass Kind = kernelOf(Sig.name(G.op(N)), Sig.opClass(G.op(N)));
 
   const TensorType &Out = G.type(N);
   double InBytes = 0;
@@ -68,19 +125,19 @@ KernelCost CostModel::nodeCost(const Graph &G, NodeId N) const {
   C.Launches = 1;
   double Efficiency = 0.5; // default: an untuned kernel
 
-  if (Op == "MatMul") {
+  if (Kind == KernelClass::MatMul) {
     C.Flops = matmulFlops(G.type(G.inputs(N)[0]), Out);
     C.Bytes = InBytes + OutBytes;
     Efficiency = 0.70; // a good but generic GEMM
-  } else if (Op == "GemmEpilog" || Op == "GemmBiasEpilog") {
+  } else if (Kind == KernelClass::GemmEpilog) {
     C.Flops = matmulFlops(G.type(G.inputs(N)[0]), Out) + 8 * elems(Out);
     C.Bytes = InBytes + OutBytes; // epilog runs in registers
     Efficiency = 0.80;            // hand-tuned library kernel
-  } else if (Op == "cublasMM_xyT_f32" || Op == "cublasMM_xyT_i8") {
+  } else if (Kind == KernelClass::Cublas) {
     C.Flops = matmulFlops(G.type(G.inputs(N)[0]), Out);
     C.Bytes = InBytes + OutBytes; // transpose fused into the GEMM
     Efficiency = 0.88;            // cuBLAS-grade tuning
-  } else if (Op == "FMHA" || Op == "FMHAMasked") {
+  } else if (Kind == KernelClass::Fmha) {
     // softmax(α·QKᵀ)·V in one kernel: both matmuls' flops, softmax work,
     // but only Q, K, V, O touch memory (no S×S intermediates) — the
     // FlashAttention-style effect.
@@ -96,7 +153,7 @@ KernelCost CostModel::nodeCost(const Graph &G, NodeId N) const {
     if (G.inputs(N).size() == 4) // masked variant streams the mask too
       C.Bytes += bytes(G.type(G.inputs(N)[3]));
     Efficiency = 0.75;
-  } else if (Op == "Conv2D") {
+  } else if (Kind == KernelClass::Conv2D) {
     // flops = 2 · out elems · C·kh·kw
     const TensorType &W = G.type(G.inputs(N)[1]);
     double Kernel = W.rank() == 4
@@ -105,7 +162,7 @@ KernelCost CostModel::nodeCost(const Graph &G, NodeId N) const {
     C.Flops = 2.0 * elems(Out) * Kernel;
     C.Bytes = InBytes + OutBytes;
     Efficiency = 0.60;
-  } else if (Op == "ConvEpilog") {
+  } else if (Kind == KernelClass::ConvEpilog) {
     const TensorType &W = G.type(G.inputs(N)[1]);
     double Kernel = W.rank() == 4
                         ? static_cast<double>(W.Dims[1] * W.Dims[2] * W.Dims[3])
@@ -113,31 +170,31 @@ KernelCost CostModel::nodeCost(const Graph &G, NodeId N) const {
     C.Flops = 2.0 * elems(Out) * Kernel + 8 * elems(Out);
     C.Bytes = InBytes + OutBytes;
     Efficiency = 0.72;
-  } else if (Op == "Softmax") {
+  } else if (Kind == KernelClass::Softmax) {
     C.Flops = 8 * elems(Out);
     C.Bytes = 2 * (InBytes + OutBytes); // two passes (max/sum, normalize)
-  } else if (Op == "LayerNorm" || Op == "BatchNorm") {
+  } else if (Kind == KernelClass::Norm) {
     C.Flops = 10 * elems(Out);
     C.Bytes = 2 * (InBytes + OutBytes);
-  } else if (Op == "Trans") {
+  } else if (Kind == KernelClass::Trans) {
     C.Flops = 0;
     C.Bytes = InBytes + OutBytes; // pure data movement
-  } else if (Op == "Gelu") {
+  } else if (Kind == KernelClass::Gelu) {
     C.Flops = 16 * elems(Out); // erf polynomial
     C.Bytes = InBytes + OutBytes;
-  } else if (Op == "Erf") {
+  } else if (Kind == KernelClass::Erf) {
     C.Flops = 12 * elems(Out);
     C.Bytes = InBytes + OutBytes;
-  } else if (Op == "MaxPool" || Op == "AvgPool" || Op == "GlobalAvgPool") {
+  } else if (Kind == KernelClass::Pool) {
     C.Flops = 4 * elems(G.type(G.inputs(N)[0]));
     C.Bytes = InBytes + OutBytes;
-  } else if (Op == "Flatten" || Op == "Reshape") {
+  } else if (Kind == KernelClass::Metadata) {
     C.Flops = 0;
     C.Bytes = 0; // metadata-only
     C.Launches = 0;
     C.Seconds = 0;
     return C;
-  } else if (Cls == "fused") {
+  } else if (Kind == KernelClass::Fused) {
     // A partition product: the region's summed work was recorded on the
     // node when it was fused.
     static const Symbol FlopsKey = Symbol::intern("flops");

@@ -387,6 +387,7 @@ public:
           RootOps.push_back(rootOps(E.Pattern->Pat));
     }
 
+    StartsOrphanFree = orphanFree();
     Stats.ModeledCostBefore = CM.graphCost(G).Seconds;
     double RunningCost = Stats.ModeledCostBefore;
     while (!halted()) {
@@ -414,7 +415,11 @@ public:
       std::vector<std::pair<double, size_t>> Priced;
       for (size_t K = 0; K != ExpandN; ++K) {
         graph::Graph Copy(G);
-        const bool Local = Copy.sweptClean();
+        // The search starts from a graph it knows is fully swept when a
+        // sweep would change nothing, so step-1 fires sweep locally there.
+        // From the first commit on, every graph has just been swept.
+        const bool Local =
+            Copy.sweptClean() || (Step == 1 && StartsOrphanFree);
         std::vector<graph::NodeId> Reads;
         search::ApplyResult R;
         try {
@@ -481,6 +486,30 @@ private:
   std::map<std::tuple<graph::NodeId, uint32_t, uint32_t>, KeptPrice> Kept;
   uint64_t FirstStepCandidates = 0, DirtyNodeCandidates = 0,
            StalePriceCandidates = 0;
+  bool StartsOrphanFree = false;
+
+  /// True when a sweep of G would change nothing: every live node is
+  /// reachable from the outputs and no user list names a dead node.
+  bool orphanFree() const {
+    std::vector<uint8_t> Reached(G.numNodes(), 0);
+    std::vector<graph::NodeId> Stack(G.outputs().begin(), G.outputs().end());
+    while (!Stack.empty()) {
+      graph::NodeId N = Stack.back();
+      Stack.pop_back();
+      if (!Reached[N]) {
+        Reached[N] = 1;
+        Stack.insert(Stack.end(), G.inputs(N).begin(), G.inputs(N).end());
+      }
+    }
+    for (graph::NodeId N = 0; N != G.numNodes(); ++N) {
+      if (!G.isDead(N) && !Reached[N])
+        return false;
+      for (graph::NodeId U : G.users(N))
+        if (G.isDead(U))
+          return false;
+    }
+    return true;
+  }
 
   /// Classifies the pricing of \p C at this step (see
   /// stalePriceCandidates) and keeps a keepable price.

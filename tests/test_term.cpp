@@ -4,6 +4,10 @@
 
 #include "term/DType.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 using namespace pypm;
 using namespace pypm::term;
 using pypm::testing::CoreFixture;
@@ -151,4 +155,103 @@ TEST_F(TermTest, DTypeHelpers) {
   EXPECT_EQ(dtypeFromName("f32"), DType::F32);
   EXPECT_EQ(dtypeFromName("i32"), DType::I32);
   EXPECT_FALSE(dtypeFromName("f8").has_value());
+}
+
+//===----------------------------------------------------------------------===//
+// Arena storage: slabs, dense indices, inline operands
+//===----------------------------------------------------------------------===//
+
+// Far more terms than one slab holds: every re-make returns the first
+// pointer, and each term's inline operands read back intact.
+TEST_F(TermTest, HashConsingHoldsAcrossSlabs) {
+  OpId Leaf = op("Leaf", 0);
+  OpId Pair = op("Pair", 2);
+  const Symbol V = Symbol::intern("v");
+  constexpr int64_t NumLeaves = 100000;
+  std::vector<TermRef> Leaves, Pairs;
+  for (int64_t I = 0; I != NumLeaves; ++I)
+    Leaves.push_back(Arena.make(Leaf, {}, {{V, I}}));
+  for (int64_t I = 0; I + 1 < NumLeaves; I += 2)
+    Pairs.push_back(Arena.make(Pair, {Leaves[I], Leaves[I + 1]}));
+  EXPECT_EQ(Arena.numTerms(), Leaves.size() + Pairs.size());
+  for (int64_t I = 0; I != NumLeaves; ++I) {
+    ASSERT_EQ(Arena.make(Leaf, {}, {{V, I}}), Leaves[I]);
+    ASSERT_EQ(Leaves[I]->storedAttr(V), I);
+  }
+  for (size_t P = 0; P != Pairs.size(); ++P) {
+    ASSERT_EQ(Arena.make(Pair, {Leaves[2 * P], Leaves[2 * P + 1]}), Pairs[P]);
+    ASSERT_EQ(Pairs[P]->child(0), Leaves[2 * P]);
+    ASSERT_EQ(Pairs[P]->child(1), Leaves[2 * P + 1]);
+    ASSERT_TRUE(Pairs[P]->attrs().empty());
+  }
+  EXPECT_EQ(Arena.numTerms(), Leaves.size() + Pairs.size());
+}
+
+TEST_F(TermTest, IndexIsDenseInCreationOrder) {
+  TermArena Fresh(Sig);
+  OpId C = op("C", 0);
+  OpId F = op("F", 2);
+  TermRef A = Fresh.make(C, {}, {{Symbol::intern("v"), 1}});
+  TermRef B = Fresh.make(C, {}, {{Symbol::intern("v"), 2}});
+  TermRef FAB = Fresh.make(F, {A, B});
+  EXPECT_EQ(A->index(), 0u);
+  EXPECT_EQ(B->index(), 1u);
+  EXPECT_EQ(FAB->index(), 2u);
+  // A hit creates nothing and numbers nothing.
+  EXPECT_EQ(Fresh.make(F, {A, B}), FAB);
+  TermRef FBA = Fresh.make(F, {B, A});
+  EXPECT_EQ(FBA->index(), 3u);
+  EXPECT_EQ(Fresh.numTerms(), 4u);
+  // Indices are per arena: the fixture's arena numbers its own terms.
+  TermRef Lone = t("Lone");
+  EXPECT_EQ(Lone->index(), Arena.numTerms() - 1);
+}
+
+// Attributes normalize to key order whatever the input order and length.
+TEST_F(TermTest, UnsortedAttributesNormalizeToKeyOrder) {
+  OpId X = op("X", 0);
+  for (size_t N : {size_t(3), size_t(16), size_t(17), size_t(40)}) {
+    SCOPED_TRACE(N);
+    std::vector<Attr> Ascending;
+    for (size_t I = 0; I != N; ++I)
+      Ascending.push_back({Symbol::intern("key" + std::to_string(I)),
+                           static_cast<int64_t>(I * 7)});
+    std::sort(Ascending.begin(), Ascending.end(),
+              [](const Attr &A, const Attr &B) {
+                return A.Key.rawId() < B.Key.rawId();
+              });
+    std::vector<Attr> Descending(Ascending.rbegin(), Ascending.rend());
+    std::vector<Attr> Interleaved;
+    for (size_t I = 0; I < N; I += 2)
+      Interleaved.push_back(Ascending[I]);
+    for (size_t I = 1; I < N; I += 2)
+      Interleaved.push_back(Ascending[I]);
+    TermRef T = Arena.make(X, {}, Ascending);
+    EXPECT_EQ(Arena.make(X, {}, Descending), T);
+    EXPECT_EQ(Arena.make(X, {}, Interleaved), T);
+    ASSERT_EQ(T->attrs().size(), N);
+    EXPECT_TRUE(std::equal(Ascending.begin(), Ascending.end(),
+                           T->attrs().begin()));
+    for (const Attr &A : Ascending)
+      EXPECT_EQ(T->storedAttr(A.Key), A.Value);
+  }
+}
+
+// A wide term keeps all its children inline, in order.
+TEST_F(TermTest, WideTermsKeepTheirChildrenInline) {
+  constexpr unsigned Wide = 12;
+  OpId W = op("Wide", Wide);
+  std::vector<TermRef> Kids;
+  for (unsigned I = 0; I != Wide; ++I)
+    Kids.push_back(t("K[i=" + std::to_string(I) + "]"));
+  const Attr Rank[] = {{Symbol::intern("rank"), 2}};
+  TermRef T = Arena.make(W, Kids, Rank);
+  ASSERT_EQ(T->arity(), Wide);
+  EXPECT_TRUE(std::equal(Kids.begin(), Kids.end(), T->children().begin()));
+  EXPECT_EQ(T->storedAttr(Symbol::intern("rank")), 2);
+  EXPECT_EQ(T->size(), 1u + Wide);
+  EXPECT_EQ(T->depth(), 2u);
+  EXPECT_EQ(Arena.make(W, Kids, Rank), T);
+  std::swap(Kids[0], Kids[Wide - 1]);
+  EXPECT_NE(Arena.make(W, Kids, Rank), T);
 }

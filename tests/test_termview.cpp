@@ -200,3 +200,143 @@ TEST_F(TermViewTest, DroppingAShadowedTwinKeepsTheRepresentative) {
   EXPECT_EQ(View.conversions(), 3u);
   EXPECT_EQ(View.nodeFor(TC), C2);
 }
+
+// A term from another arena may share an index() with one of this view's
+// terms; neither lookup may answer with the local node that has it.
+TEST_F(TermViewTest, TermFromAnotherArenaResolvesToInvalidNode) {
+  NodeId C1 = G.addConst(2.0);
+  NodeId C2 = G.addConst(2.0);
+  NodeId N = G.addNode(Sig.lookup("Add"), {C1, C2});
+  G.addOutput(N);
+  SI.inferAll(G);
+  term::TermRef Local = View.termFor(N);
+  term::TermRef LocalConst = Local->child(0);
+  ASSERT_EQ(LocalConst->index(), 0u); // the view converted C1 first
+
+  term::TermArena Other(Sig);
+  TermView OtherView(G, Other);
+  term::TermRef Foreign = OtherView.termFor(N);
+  term::TermRef ForeignConst = Foreign->child(0);
+  ASSERT_EQ(ForeignConst->index(), LocalConst->index());
+  ASSERT_NE(ForeignConst, LocalConst);
+  EXPECT_EQ(View.nodeFor(ForeignConst), InvalidNode);
+  EXPECT_EQ(View.nodeFor(Foreign), InvalidNode);
+  // C1 and C2 are twins, so the rooted lookup of the local term walks;
+  // the foreign one must not.
+  EXPECT_EQ(View.nodeFor(LocalConst, N), C1);
+  EXPECT_EQ(View.nodeFor(ForeignConst, N), InvalidNode);
+  EXPECT_EQ(View.nodeFor(Foreign, N), InvalidNode);
+  // An index past everything this view converted answers InvalidNode too.
+  term::TermRef Unseen = Other.make(Sig.lookup("Relu"), {Foreign});
+  EXPECT_EQ(View.nodeFor(Unseen), InvalidNode);
+  EXPECT_EQ(View.nodeFor(Unseen, N), InvalidNode);
+}
+
+// Three twins queue in conversion order: the representative's drop
+// promotes the next survivor, a dropped node re-queues at the back, and
+// invalidate() forgets the whole queue.
+TEST_F(TermViewTest, TwinQueueFollowsConversionOrder) {
+  NodeId C1 = G.addConst(3.0);
+  NodeId C2 = G.addConst(3.0);
+  NodeId C3 = G.addConst(3.0);
+  term::TermRef TC = View.termFor(C2);
+  ASSERT_EQ(View.termFor(C3), TC);
+  ASSERT_EQ(View.termFor(C1), TC);
+  EXPECT_EQ(View.nodeFor(TC), C2);
+  // Drop the middle of the queue, then the representative.
+  CommitFootprint Mid;
+  Mid.Closure = {C3};
+  View.invalidateNodes(Mid);
+  EXPECT_EQ(View.nodeFor(TC), C2);
+  CommitFootprint Head;
+  Head.Closure = {C2};
+  View.invalidateNodes(Head);
+  EXPECT_EQ(View.nodeFor(TC), C1);
+  // Both re-convert behind C1, in their new conversion order.
+  View.termFor(C2);
+  View.termFor(C3);
+  CommitFootprint Next;
+  Next.Swept = {C1};
+  View.invalidateNodes(Next);
+  EXPECT_EQ(View.nodeFor(TC), C2);
+  Next.Swept = {C2};
+  View.invalidateNodes(Next);
+  EXPECT_EQ(View.nodeFor(TC), C3);
+  EXPECT_EQ(View.nodeFor(TC, C3), C3);
+  Next.Swept = {C3};
+  View.invalidateNodes(Next);
+  EXPECT_EQ(View.nodeFor(TC), InvalidNode);
+  // After invalidate() the first conversion represents again.
+  View.termFor(C3);
+  View.termFor(C1);
+  View.invalidate();
+  EXPECT_EQ(View.nodeFor(TC), InvalidNode);
+  View.termFor(C1);
+  View.termFor(C2);
+  EXPECT_EQ(View.nodeFor(TC), C1);
+}
+
+// Representatives are per view: two views over one arena (and one graph)
+// each keep the node they converted first, and a drop in one leaves the
+// other alone.
+TEST_F(TermViewTest, ViewsSharingAnArenaKeepTheirOwnRepresentatives) {
+  NodeId C1 = G.addConst(4.0);
+  NodeId C2 = G.addConst(4.0);
+  NodeId R = G.addNode(Sig.lookup("Relu"), {C1});
+  G.addOutput(R);
+  SI.inferAll(G);
+  TermView Second(G, Arena);
+  term::TermRef TC = View.termFor(C1);
+  ASSERT_EQ(Second.termFor(C2), TC);
+  EXPECT_EQ(View.nodeFor(TC), C1);
+  EXPECT_EQ(Second.nodeFor(TC), C2);
+  // R converts in View only: Second has never seen its term.
+  term::TermRef TR = View.termFor(R);
+  EXPECT_EQ(View.nodeFor(TR), R);
+  EXPECT_EQ(Second.nodeFor(TR), InvalidNode);
+  CommitFootprint F;
+  F.Closure = {C1, R};
+  View.invalidateNodes(F);
+  EXPECT_EQ(View.nodeFor(TC), InvalidNode);
+  EXPECT_EQ(Second.nodeFor(TC), C2);
+  Second.invalidate();
+  EXPECT_EQ(View.termFor(C2), TC);
+  EXPECT_EQ(View.nodeFor(TC), C2);
+  EXPECT_EQ(Second.nodeFor(TC), InvalidNode);
+}
+
+// Wide nodes (arity 11, up to 21 attributes) convert to the same terms
+// as narrow ones: every child in order, every attribute stored.
+TEST_F(TermViewTest, WideNodesConvert) {
+  constexpr unsigned Wide = 11;
+  term::OpId WideOp = Sig.addOp("WideConcat", Wide);
+  std::vector<NodeId> Ins;
+  for (unsigned I = 0; I != Wide; ++I)
+    Ins.push_back(input({2, 3, 4, 5, 6, 7, 8, 9}));
+  std::vector<term::Attr> Attrs;
+  for (unsigned I = 0; I != 10; ++I)
+    Attrs.push_back({Symbol::intern("opt" + std::to_string(I)), I});
+  NodeId N = G.addNode(WideOp, Ins, Attrs);
+  NodeId M = G.addNode(WideOp, Ins, Attrs);
+  term::TermRef T = View.termFor(N);
+  ASSERT_EQ(T->arity(), Wide);
+  for (unsigned I = 0; I != Wide; ++I)
+    EXPECT_EQ(T->child(I), View.termFor(Ins[I]));
+  EXPECT_EQ(T->child(0)->storedAttr(Symbol::intern("dim7")), 9);
+  // 2 + rank 0 + 10 operator attributes on the wide node itself.
+  EXPECT_EQ(T->attrs().size(), 12u);
+  EXPECT_EQ(T->storedAttr(Symbol::intern("opt9")), 9);
+  EXPECT_EQ(View.termFor(M), T);
+  EXPECT_EQ(View.nodeFor(T), N);
+  // A leaf with 2 + 8 dims + its operator attributes (the 10 above, plus
+  // the uid addLeaf gives every leaf).
+  NodeId Leaf = G.addLeaf("Input", TensorType::make(term::DType::F32,
+                                                   {1, 2, 3, 4, 5, 6, 7, 8}),
+                          Attrs);
+  term::TermRef TL = View.termFor(Leaf);
+  ASSERT_GE(G.attrs(Leaf).size(), 10u);
+  EXPECT_EQ(TL->attrs().size(), 10u + G.attrs(Leaf).size());
+  EXPECT_EQ(TL->storedAttr(Symbol::intern("dim0")), 1);
+  EXPECT_EQ(TL->storedAttr(Symbol::intern("opt0")), 0);
+  EXPECT_EQ(View.nodeFor(TL), Leaf);
+}

@@ -72,17 +72,22 @@ echo "=== profiled-plan suites under TSan ==="
 ./build-ci-tsan/tests/pypm_tests \
   --gtest_filter='*PlanProfile*'
 
-# Commit footprints: every fire partially erases the term view's maps and
-# hands the footprint's closure — cut to the view's memo in the serial
+# Commit footprints: every fire partially erases the term view's tables
+# and hands the footprint's closure — cut to the view's memo in the serial
 # engine, full for the parallel commit's Dirty bits — onward: lifetime
-# hazards for ASan/UBSan. The graph-text parser (string_view-keyed name
-# map over the request text, from_chars integers) rides along. The
-# naive-reference differential (zoo and 50 stress seeds, threads
-# 0/1/2/4/8, machine/fast/plan, governed legs) drives the parallel commit
-# path under TSan. The stress seeds run here in the quick mode too.
+# hazards for ASan/UBSan. Terms keep their operands inline after their
+# header in the arena's slabs, so the term suites and the allocation gate
+# (its own executable: it replaces operator new) run here too — alignment
+# or lifetime UB in that trailing storage would show. The graph-text
+# parser (string_view-keyed name map over the request text, from_chars
+# integers) rides along. The naive-reference differential (zoo and 50
+# stress seeds, threads 0/1/2/4/8, machine/fast/plan, governed legs)
+# drives the parallel commit path under TSan. The stress seeds run here in
+# the quick mode too.
 echo "=== commit-footprint suites under ASan/UBSan ==="
 ./build-ci-asan/tests/pypm_tests \
-  --gtest_filter='TermView*:GraphCommitOracle.*:PrunedClosureOracle.*:*NaiveReference*:CommitFootprintGate.*:GraphIO.*'
+  --gtest_filter='TermTest.*:TermView*:GraphCommitOracle.*:PrunedClosureOracle.*:*NaiveReference*:CommitFootprintGate.*:GraphIO.*'
+./build-ci-asan/tests/pypm_alloc_gate
 
 echo "=== naive-reference differential under TSan ==="
 ./build-ci-tsan/tests/pypm_tests --gtest_filter='*NaiveReference*'
